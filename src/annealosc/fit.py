@@ -1,9 +1,10 @@
 """Least-squares estimation of the splitting-ansatz parameters A (and v).
 
-The objective is smooth, cheap, and one- or two-dimensional, so the fits use
-a coarse scan to bracket the best basin followed by golden-section
-refinement; the two-parameter fit profiles A out of the objective and scans
-a log-spaced v grid to avoid the exponentially flat valley in v.
+The ansatz is quadratic in A, so the sum of squared residuals is a quartic
+in A and its minimum over [0, a_max] is found exactly, from a few dot
+products and the roots of a cubic.  Only v is searched: the two-parameter
+fit profiles A out of the objective, scans a log-spaced v grid to avoid the
+exponentially flat valley in v, and refines the best cell by golden section.
 """
 
 from __future__ import annotations
@@ -36,13 +37,28 @@ def golden_min(f, a: float, b: float, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_then_golden(f, a, b, n_scan=41, tol=1e-8):
-    xs = np.linspace(a, b, n_scan)
-    ys = np.array([f(x) for x in xs])
-    i = int(np.argmin(ys))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, n_scan - 1)]
-    return golden_min(f, lo, hi, tol), i in (0, n_scan - 1)
+def _exact_A(p: SplitParams, taus: np.ndarray, probs: np.ndarray,
+             a_max: float) -> tuple[float, float, bool]:
+    """Least-squares A on [0, a_max] with every other parameter of p fixed.
+
+    predict_split is P = q A^2 + l A + c with q, l, c independent of A, so
+    with r = probs - c the objective SSE(A) = sum (r - q A^2 - l A)^2 is a
+    quartic; its minimum on [0, a_max] is at an endpoint or at a root of the
+    cubic SSE'(A) inside the interval.  Returns (A, SSE(A), A is an endpoint).
+    """
+    c = predict_split(p.with_values(A=0.0), taus)
+    up = predict_split(p.with_values(A=1.0), taus)
+    down = predict_split(p.with_values(A=-1.0), taus)
+    q, l, r = 0.5 * (up + down) - c, 0.5 * (up - down), probs - c
+    # SSE'(A) / 2 = 2 qq A^3 + 3 ql A^2 + (ll - 2 qr) A - lr; the real part of
+    # a complex pair is kept too, so a near-double root split by rounding is
+    # still tried (every candidate is scored on the residuals themselves)
+    roots = np.roots([2.0 * (q @ q), 3.0 * (q @ l), l @ l - 2.0 * (q @ r),
+                      -(l @ r)]).real
+    cands = np.concatenate([[0.0, a_max], roots[(roots > 0.0) & (roots < a_max)]])
+    sse = [float(np.sum((r - (q * a + l) * a) ** 2)) for a in cands]
+    i = int(np.argmin(sse))  # the endpoints come first and win ties
+    return float(cands[i]), sse[i], i < 2
 
 
 @dataclass(frozen=True)
@@ -90,16 +106,15 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(x**2)))
 
 
-def fit_A(sweep: SweepResult, p: SplitParams, a_max: float = 2.0,
-          tol: float = 1e-8) -> FitResult:
-    """One-parameter fit of A over [0, a_max] against a direct sweep."""
+def fit_A(sweep: SweepResult, p: SplitParams, a_max: float = 2.0) -> FitResult:
+    """One-parameter fit of A over [0, a_max] against a direct sweep.
+
+    The least-squares A is exact (see `_exact_A`); the fit is converged when
+    it lies strictly inside (0, a_max).
+    """
     _check_sweep(sweep, p)
     taus, probs = sweep.taus, sweep.probs
-
-    def sse(a):
-        return float(np.sum((probs - predict_split(p.with_values(A=a), taus)) ** 2))
-
-    a_hat, on_edge = _scan_then_golden(sse, 0.0, a_max, tol=tol)
+    a_hat, _sse, on_edge = _exact_A(p, taus, probs, a_max)
     resid = probs - predict_split(p.with_values(A=a_hat), taus)
     return FitResult(a_hat=float(a_hat), v_hat=None, rms_residual=_rms(resid),
                      n_points=len(taus), converged=not on_edge)
@@ -111,9 +126,10 @@ def fit_A_v(sweep: SweepResult, p: SplitParams, a_max: float = 2.0,
     """Joint (A, v) fit with g fixed.
 
     The objective valley is strongly correlated in (A, v), so the fit
-    profiles out A: for each candidate v the inner 1-d minimum over A is
-    found exactly, and the resulting profile objective F(v) = min_A sse(A, v)
-    is scanned on a log-spaced v grid and refined by golden section.
+    profiles out A: for each candidate v the inner minimum over A is solved
+    in closed form (see `_exact_A`), and only the profile objective
+    F(v) = min_A sse(A, v) is searched, on a log-spaced v grid of n_scan
+    points refined by golden section to tol in log v.
     """
     _check_sweep(sweep, p)
     taus, probs = sweep.taus, sweep.probs
@@ -124,9 +140,7 @@ def fit_A_v(sweep: SweepResult, p: SplitParams, a_max: float = 2.0,
         return float(np.sum((probs - predict_split(q, taus)) ** 2))
 
     def profile(logv):
-        v = math.exp(logv)
-        a, _edge = _scan_then_golden(lambda x: sse(x, v), 0.0, a_max, tol=tol)
-        return sse(a, v)
+        return _exact_A(p.with_values(v=math.exp(logv)), taus, probs, a_max)[1]
 
     grid = np.linspace(log_lo, log_hi, n_scan)
     vals = np.array([profile(lv) for lv in grid])
@@ -135,8 +149,7 @@ def fit_A_v(sweep: SweepResult, p: SplitParams, a_max: float = 2.0,
     hi = grid[min(i + 1, n_scan - 1)]
     logv = golden_min(profile, lo, hi, tol=tol)
     v_hat = math.exp(logv)
-    a_hat, _edge = _scan_then_golden(lambda x: sse(x, v_hat), 0.0, a_max,
-                                     tol=tol)
+    a_hat = _exact_A(p.with_values(v=v_hat), taus, probs, a_max)[0]
     resid = probs - predict_split(p.with_values(A=a_hat, v=v_hat), taus)
     # degenerate when forcing A = 0 fits essentially as well (the data carry
     # no Landau-Zener signal, so v is arbitrary), or v ran into its bounds

@@ -57,16 +57,6 @@ def gamma_at(model: ReducedHamiltonian, s: float, vecs: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
-class SpectralPoint:
-    s: float
-    lambda0: float
-    lambda1: float
-    delta: float
-    gamma: float
-    rho: float
-
-
-@dataclass(frozen=True)
 class GapTrace:
     """Spectral data sampled on an increasing s grid covering [0, 1].
 
@@ -95,11 +85,6 @@ class GapTrace:
                   self.rho, self.vec0, self.vec1):
             a.setflags(write=False)
 
-    @property
-    def points(self) -> list[SpectralPoint]:
-        return [SpectralPoint(*row) for row in zip(
-            self.s, self.lambda0, self.lambda1, self.delta, self.gamma, self.rho)]
-
     def delta_spline(self):
         return interpolate.CubicSpline(self.s, self.delta)
 
@@ -109,7 +94,8 @@ class GapTrace:
 
 
 def _crossing_refine_grid(s_grid: np.ndarray, delta: np.ndarray, n_extra: int) -> np.ndarray:
-    """Extra sample points clustered around the interior gap minimum."""
+    """Extra sample points clustered around the interior gap minimum, none
+    closer to a coarse point than 1e-9 of the coarse cell it falls in."""
     i = int(np.argmin(delta))
     if i == 0 or i == len(s_grid) - 1:
         return np.empty(0)
@@ -118,7 +104,13 @@ def _crossing_refine_grid(s_grid: np.ndarray, delta: np.ndarray, n_extra: int) -
     below = np.where(delta < 4 * g)[0]
     lo = s_grid[max(below.min() - 1, 0)]
     hi = s_grid[min(below.max() + 1, len(s_grid) - 1)]
-    return np.linspace(lo, hi, n_extra + 2)[1:-1]
+    extra = np.linspace(lo, hi, n_extra + 2)[1:-1]
+    # a refinement point that should coincide with a coarse point can land a
+    # rounding error away from it; kept, the pair would make a cell so small
+    # that locate_crossing brackets the minimum inside it
+    j = np.searchsorted(s_grid, extra)  # s_grid[j-1] < extra <= s_grid[j]
+    left, right = extra - s_grid[j - 1], s_grid[j] - extra
+    return extra[np.minimum(left, right) > 1e-9 * (left + right)]
 
 
 def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,

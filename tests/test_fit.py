@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealosc import SplitParams, predict_split
 from annealosc.evolve import EvolutionConfig, SweepResult
@@ -38,6 +40,31 @@ def test_fit_a_boundary_flagged():
     res = fit_A(synthetic_sweep(0.25), BASE, a_max=0.1)
     assert not res.converged
     assert res.a_hat == pytest.approx(0.1, abs=1e-6)
+
+
+@pytest.mark.parametrize("a", [0.02, 1.98])
+def test_fit_a_near_bounds_converged(a):
+    # an interior minimum close to either bound is still an interior minimum
+    res = fit_A(synthetic_sweep(a), BASE)
+    assert res.a_hat == pytest.approx(a, abs=1e-6)
+    assert res.converged
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=st.floats(0.0, 2.5), a_max=st.floats(0.05, 2.0),
+       noise=st.floats(0.01, 0.3), seed=st.integers(0, 2**32 - 1))
+def test_fit_a_finds_exact_minimum(a, a_max, noise, seed):
+    # no A on a fine grid over [0, a_max] fits noisy data better than a_hat
+    sweep = synthetic_sweep(a, noise=noise, rng=np.random.default_rng(seed))
+
+    def sse(x):
+        return float(np.sum((sweep.probs
+                             - predict_split(BASE.with_values(A=x), sweep.taus)) ** 2))
+
+    res = fit_A(sweep, BASE, a_max=a_max)
+    assert 0.0 <= res.a_hat <= a_max
+    grid_best = min(sse(x) for x in np.linspace(0.0, a_max, 2001))
+    assert sse(res.a_hat) <= grid_best * (1.0 + 1e-12)
 
 
 def test_fit_a_noise_calibration():

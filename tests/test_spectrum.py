@@ -124,6 +124,18 @@ def test_shallow_barrier_takes_large_gap_path():
     assert cr.kind in ("large-gap", "none")
 
 
+def test_refined_grid_has_no_near_duplicate_point():
+    # a refinement point rounds to 5.6e-17 from the coarse point s = 0.37;
+    # kept, it made locate_crossing return that point instead of the
+    # minimum (0.3682826 from a dense eigvalsh scan)
+    model = build_model(ModelSpec(kind="barrier", n=40, mu=1.0,
+                                  alpha=0.3307940789736494,
+                                  beta=0.5272988341563213))
+    trace = gap_trace(model)
+    assert np.diff(trace.s).min() >= 1e-12
+    assert locate_crossing(trace).s_star == pytest.approx(0.3682826, abs=1e-6)
+
+
 def test_monotone_gap_reports_no_crossing():
     # mu large enough that the decoupled gap only grows
     model = build_model(ModelSpec(kind="nobarrier", n=1, mu=9.0))
