@@ -1,15 +1,21 @@
 """Direct integration of i dpsi/ds = tau H(s) psi and derived sweep utilities.
 
-The default scheme is an exponential midpoint rule: each substep applies the
-exact propagator of H(s_mid) obtained by eigendecomposition of the small
-reduced matrix, which preserves the norm to machine precision.  A high-order
-explicit Runge-Kutta scheme (DOP853) is kept as an independent cross-check.
-For tau sweeps the midpoint eigendecompositions are shared across all tau
+The integrator is the fourth-order commutator-free Magnus scheme CF4
+(Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519; Alvermann & Fehske,
+J. Comput. Phys. 230 (2011) 5930).  Each step of width h applies two
+exponentials of weighted sums of H at the step's two Gauss nodes.  Every
+model is affine in its schedule g(s), so each exponential is the exact
+propagator exp(-i tau h/2 H(g_eff)) of H at an effective schedule value,
+obtained by eigendecomposition of the small reduced matrix; the norm is kept
+to machine precision.  A level of n substeps is n exponentials (n/2 steps),
+and levels double until the final state moves by less than the tolerance.
+For tau sweeps the eigendecompositions of a level are shared across all tau
 values, so a whole sweep costs little more than a single evolution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,18 +25,15 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands
 from .spectrum import GapTrace, _two_lowest
 
-METHODS = ("exponential-midpoint", "high-order-explicit")
-
 
 class ConvergenceError(RuntimeError):
-    """Step-halving did not converge within the substep budget."""
+    """Step-doubling did not converge within the substep budget."""
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
     step_tolerance: float = 1e-8
     max_steps: int = 1 << 22
-    method: str = "exponential-midpoint"
     initial_steps: int = 256
 
     def __post_init__(self):
@@ -38,8 +41,11 @@ class EvolutionConfig:
             raise ValueError("step_tolerance must be positive")
         if self.max_steps < 2:
             raise ValueError("max_steps must be at least 2")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        # a level of n substeps is n/2 CF4 steps of two exponentials each
+        if self.initial_steps % 2 or not 2 <= self.initial_steps <= self.max_steps:
+            raise ValueError(
+                f"initial_steps must be even and in [2, max_steps={self.max_steps}], "
+                f"got {self.initial_steps}")
 
 
 @dataclass(frozen=True)
@@ -81,43 +87,60 @@ def ground_state(model: ReducedHamiltonian, s: float) -> np.ndarray:
     return v
 
 
-def _midpoint_eigs(model: ReducedHamiltonian, n_steps: int):
-    """Eigendecompositions of H at the substep midpoints."""
-    mids = (np.arange(n_steps) + 0.5) / n_steps
-    decomps = []
-    for s in mids:
+# CF4 step k of width h takes H at the Gauss nodes s1,2 = (k + 1/2 -+ sqrt3/6) h
+# and applies exp(-i tau h (a2 H1 + a1 H2)) first, exp(-i tau h (a1 H1 + a2 H2))
+# second, with a1,2 = (3 -+ 2 sqrt3)/12 and a1 + a2 = 1/2.  Rows: the weights of
+# the two node values in each exponential's effective H, in order of application.
+_NODE_OFFSETS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_A1, _A2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+_CF4_WEIGHTS = 2.0 * np.array([[_A2, _A1], [_A1, _A2]])
+
+
+def _cf4_nodes(n_substeps: int) -> np.ndarray:
+    """Gauss nodes of the n_substeps/2 CF4 steps, shape (steps, 2), in
+    increasing s."""
+    h = 2.0 / n_substeps
+    return (np.arange(n_substeps // 2)[:, None] + _NODE_OFFSETS) * h
+
+
+def _cf4_eigs(model: ReducedHamiltonian, n_substeps: int):
+    """Eigendecompositions of the n_substeps effective Hamiltonians, in order
+    of application; the bands (or matrices) are taken at the Gauss nodes in
+    increasing s and combined linearly, which is exact as H is affine in g."""
+    d = model.dim
+    for s1, s2 in _cf4_nodes(n_substeps):
         if model.tridiagonal:
-            diag, off = tridiagonal_bands(model, s)
-            w, v = eigh_tridiagonal(diag, off)
+            x1, x2 = (np.concatenate(tridiagonal_bands(model, s)) for s in (s1, s2))
         else:
-            w, v = eigh(hamiltonian_at(model, s))
-        decomps.append((w, v))
-    return decomps
+            x1, x2 = hamiltonian_at(model, s1), hamiltonian_at(model, s2)
+        for c1, c2 in _CF4_WEIGHTS:
+            x = c1 * x1 + c2 * x2
+            yield eigh_tridiagonal(x[:d], x[d:]) if model.tridiagonal else eigh(x)
 
 
 def _propagate_small_dim(model: ReducedHamiltonian, taus: np.ndarray,
-                         n_steps: int, psi0: np.ndarray) -> np.ndarray:
-    """Midpoint propagation specialized for few-level models.
+                         n_substeps: int, psi0: np.ndarray) -> np.ndarray:
+    """CF4 propagation specialized for few-level models.
 
-    All substep Hamiltonians are eigendecomposed in one batched call, and the
-    substep propagators are multiplied pairwise (a balanced tree), so the
-    Python-level work grows like log(n_steps) instead of n_steps.
+    All effective Hamiltonians are eigendecomposed in one batched call, and
+    the exponentials are multiplied pairwise (a balanced tree), so the
+    Python-level work grows like log(n_substeps) instead of n_substeps.
     """
-    mids = (np.arange(n_steps) + 0.5) / n_steps
-    g = np.array([model.schedule(s) for s in mids])
+    g = np.asarray(model.schedule(_cf4_nodes(n_substeps)), float)
+    g = (g @ _CF4_WEIGHTS.T).ravel()
     h = np.multiply.outer(1.0 - g, model.h0) + np.multiply.outer(g, model.h1)
     w, v = np.linalg.eigh(h)
     vt = v.transpose(0, 2, 1)
-    ds = 1.0 / n_steps
+    ds = 1.0 / n_substeps
     dim = model.dim
     psi = np.tile(psi0.astype(complex), (len(taus), 1))[..., None]
     # cap the (ntau, chunk, dim, dim) workspace at a few hundred MB
     chunk = max(2, (1 << 21) // max(1, len(taus) * dim * dim))
-    for i0 in range(0, n_steps, chunk):
+    for i0 in range(0, n_substeps, chunk):
         wc, vc, vtc = w[i0:i0 + chunk], v[i0:i0 + chunk], vt[i0:i0 + chunk]
         phases = np.exp(-1j * ds * wc[None] * taus[:, None, None])
         u = (vc[None] * phases[..., None, :]) @ vtc[None]
-        # fold pairs right-to-left so earlier substeps act first
+        # fold pairs right-to-left so earlier exponentials act first
         while u.shape[1] > 1:
             even = (u.shape[1] // 2) * 2
             prod = u[:, 1:even:2] @ u[:, 0:even:2]
@@ -128,55 +151,35 @@ def _propagate_small_dim(model: ReducedHamiltonian, taus: np.ndarray,
     return psi[..., 0].T
 
 
-def _propagate_midpoint(model: ReducedHamiltonian, taus: np.ndarray,
-                        n_steps: int, psi0: np.ndarray,
-                        decomps=None) -> np.ndarray:
-    """Evolve one initial state for every tau at once; returns dim x ntau."""
-    if decomps is None and model.dim <= 8:
-        return _propagate_small_dim(model, taus, n_steps, psi0)
-    if decomps is None:
-        decomps = _midpoint_eigs(model, n_steps)
-    ds = 1.0 / n_steps
+def _propagate(model: ReducedHamiltonian, taus: np.ndarray, n_substeps: int,
+               psi0: np.ndarray) -> np.ndarray:
+    """CF4-evolve one initial state for every tau at once with n_substeps
+    exponentials; returns dim x ntau."""
+    if model.dim <= 8:
+        return _propagate_small_dim(model, taus, n_substeps, psi0)
+    ds = 1.0 / n_substeps
     psi = np.tile(psi0.astype(complex)[:, None], (1, len(taus)))
-    for w, v in decomps:
+    for w, v in _cf4_eigs(model, n_substeps):
         phases = np.exp(-1j * np.outer(w, taus) * ds)
         psi = v @ (phases * (v.T @ psi))
     return psi
 
 
-def _evolve_batch_midpoint(model, taus, cfg):
+def _evolve_batch(model, taus, cfg):
     psi0 = ground_state(model, 0.0)
     n = cfg.initial_steps
-    prev = _propagate_midpoint(model, taus, n, psi0)
+    prev = _propagate(model, taus, n, psi0)
     worst = np.inf
     while 2 * n <= cfg.max_steps:
         n *= 2
-        cur = _propagate_midpoint(model, taus, n, psi0)
+        cur = _propagate(model, taus, n, psi0)
         worst = np.linalg.norm(cur - prev, axis=0).max()
         if worst < cfg.step_tolerance:
             return cur
         prev = cur
     raise ConvergenceError(
-        f"midpoint integration not converged at {n} substeps "
+        f"CF4 integration not converged at {n} substeps "
         f"(error {worst:.3e}, tolerance {cfg.step_tolerance:.1e})")
-
-
-def _evolve_dop853(model, tau, cfg):
-    psi0 = ground_state(model, 0.0).astype(complex)
-
-    def rhs(s, y):
-        return -1j * tau * (hamiltonian_at(model, s) @ y)
-
-    rtol = min(cfg.step_tolerance, 1e-8)
-    sol = solve_ivp(rhs, (0.0, 1.0), psi0, method="DOP853",
-                    rtol=rtol, atol=rtol * 1e-2)
-    if not sol.success:
-        raise ConvergenceError(f"DOP853 failed: {sol.message}")
-    psi = sol.y[:, -1]
-    drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > 1e3 * rtol:
-        raise ConvergenceError(f"norm drift {drift:.2e} exceeds budget")
-    return psi / np.linalg.norm(psi)
 
 
 def evolve_schrodinger(model: ReducedHamiltonian, tau: float,
@@ -184,25 +187,25 @@ def evolve_schrodinger(model: ReducedHamiltonian, tau: float,
     """Final state at s=1 starting from the s=0 ground state.
 
     Accepted only when doubling the substep count moves the final state by
-    less than cfg.step_tolerance in norm (midpoint method), or when the
-    adaptive solver meets the equivalent local tolerance (explicit method).
+    less than cfg.step_tolerance in norm.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if cfg.method == "exponential-midpoint":
-        psi = _evolve_batch_midpoint(model, np.array([tau]), cfg)[:, 0]
-    else:
-        psi = _evolve_dop853(model, tau, cfg)
+    psi = _evolve_batch(model, np.array([tau]), cfg)[:, 0]
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ConvergenceError("final state norm deviates by more than 1e-10")
     return psi
 
 
+def _leakage(phi0: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """1 - |<phi0|psi>|^2 for a state or for each column of psi, clipped to
+    [0, 1] against roundoff."""
+    return np.clip(1.0 - np.abs(phi0 @ psi) ** 2, 0.0, 1.0)
+
+
 def transition_probability(psi: np.ndarray, model: ReducedHamiltonian) -> float:
     """P = 1 - |<phi0(1)|psi>|^2, clipped to [0, 1] against roundoff."""
-    phi0 = ground_state(model, 1.0)
-    p = 1.0 - abs(phi0 @ psi) ** 2
-    return float(min(max(p, 0.0), 1.0))
+    return float(_leakage(ground_state(model, 1.0), psi))
 
 
 def tau_sweep(model: ReducedHamiltonian, taus: np.ndarray,
@@ -213,17 +216,7 @@ def tau_sweep(model: ReducedHamiltonian, taus: np.ndarray,
         raise ValueError("all taus must be positive")
     if np.any(np.diff(taus) <= 0):
         raise ValueError("taus must strictly increase")
-    if cfg.method == "exponential-midpoint":
-        finals = _evolve_batch_midpoint(model, taus, cfg)
-        probs = np.array([transition_probability(finals[:, j], model)
-                          for j in range(len(taus))])
-    else:
-        probs = np.empty(len(taus))
-        for j, tau in enumerate(taus):
-            try:
-                probs[j] = transition_probability(_evolve_dop853(model, tau, cfg), model)
-            except ConvergenceError as exc:
-                raise ConvergenceError(f"tau index {j} (tau={tau}): {exc}") from exc
+    probs = _leakage(ground_state(model, 1.0), _evolve_batch(model, taus, cfg))
     return SweepResult(taus=taus.copy(), probs=probs,
                        model_label=model.label, config=cfg)
 

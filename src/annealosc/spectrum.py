@@ -130,8 +130,10 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
     if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must strictly increase from 0 to 1")
 
+    known = {}  # s -> eigenpairs of the coarse pass, reused by the gauge pass
     if refine:
-        coarse_delta = np.array([gap_at(model, s) for s in grid])
+        known = {s: _two_lowest(model, s) for s in grid.tolist()}
+        coarse_delta = np.array([vals[1] - vals[0] for vals, _ in known.values()])
         if np.any(coarse_delta <= 0):
             raise DegenerateGroundStateError("nonpositive gap on coarse grid")
         extra = _crossing_refine_grid(grid, coarse_delta, n_refine)
@@ -145,7 +147,7 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
     vec1 = np.empty((model.dim, npts))
     prev = None
     for i, s in enumerate(grid):
-        vals, vecs = _two_lowest(model, s)
+        vals, vecs = known.pop(s) if s in known else _two_lowest(model, s)
         if vals[1] - vals[0] <= 0:
             raise DegenerateGroundStateError(f"degenerate levels at s={s}")
         if prev is not None:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from annealosc import (EvolutionConfig, ModelSpec, build_model,
                        evolve_schrodinger, evolve_two_level, ground_state,
                        tau_sweep, transition_probability)
-from annealosc.evolve import ConvergenceError, _propagate_midpoint
+from annealosc import evolve
+from annealosc.cli import main
+from annealosc.evolve import ConvergenceError, _propagate
 from annealosc.models import hamiltonian_at
 from annealosc.spectrum import gap_trace
 
@@ -52,10 +55,23 @@ def test_n1_against_large_gap_formula(nobarrier1):
 
 def test_methods_agree(nobarrier1):
     tau = 42.0
-    p_mid = transition_probability(evolve_schrodinger(nobarrier1, tau), nobarrier1)
-    cfg = EvolutionConfig(method="high-order-explicit", step_tolerance=1e-10)
-    p_ho = transition_probability(evolve_schrodinger(nobarrier1, tau, cfg), nobarrier1)
-    assert p_mid == pytest.approx(p_ho, abs=1e-9)
+    p_cf4 = transition_probability(evolve_schrodinger(nobarrier1, tau), nobarrier1)
+    psi_ref = integrate_schrodinger_full(lambda s: hamiltonian_at(nobarrier1, s),
+                                         ground_state(nobarrier1, 0.0), tau)
+    p_ref = transition_probability(psi_ref, nobarrier1)
+    assert p_cf4 == pytest.approx(p_ref, abs=1e-9)
+
+
+def test_barrier_dim17_sweep_against_dense_oracle():
+    # the per-step (dim > 8) propagation path on an avoided-crossing model
+    model = build_model(ModelSpec(kind="barrier", n=16, mu=1.0, alpha=0.3, beta=0.5))
+    taus = np.array([20.0, 45.0, 70.0, 100.0])
+    sweep = tau_sweep(model, taus)
+    psi0 = ground_state(model, 0.0)
+    for tau, p in zip(taus, sweep.probs):
+        psi_ref = integrate_schrodinger_full(lambda s: hamiltonian_at(model, s),
+                                             psi0, tau)
+        assert p == pytest.approx(transition_probability(psi_ref, model), abs=1e-9)
 
 
 def test_grover_against_full_space_oracle():
@@ -111,23 +127,50 @@ def test_sweep_decay_bound(nobarrier1, nobarrier1_trace):
     assert np.all(sweep.probs <= bound * 1.001)
 
 
-def test_midpoint_convergence_order(nobarrier1):
-    # halving the step reduces the error by at least the second-order factor
+def test_cf4_convergence_order(nobarrier1):
+    # doubling the substeps reduces the error by at least the fourth-order factor
     tau = 25.0
     psi0 = ground_state(nobarrier1, 0.0)
-    ref = _propagate_midpoint(nobarrier1, np.array([tau]), 1 << 14, psi0)[:, 0]
+    ref = _propagate(nobarrier1, np.array([tau]), 1 << 14, psi0)[:, 0]
     errs = []
     for n in (64, 128, 256):
-        psi = _propagate_midpoint(nobarrier1, np.array([tau]), n, psi0)[:, 0]
+        psi = _propagate(nobarrier1, np.array([tau]), n, psi0)[:, 0]
         errs.append(np.linalg.norm(psi - ref))
-    assert errs[0] / errs[1] >= 3.8
-    assert errs[1] / errs[2] >= 3.8
+    assert errs[0] / errs[1] >= 15.0
+    assert errs[1] / errs[2] >= 15.0
 
 
 def test_nonconvergence_reported(nobarrier1):
     cfg = EvolutionConfig(step_tolerance=1e-14, max_steps=64, initial_steps=16)
     with pytest.raises(ConvergenceError):
         evolve_schrodinger(nobarrier1, 80.0, cfg)
+
+
+@pytest.mark.parametrize("initial_steps", [-4, 0, 1, 7, 128])
+def test_bad_initial_steps_rejected(initial_steps):
+    with pytest.raises(ValueError):
+        EvolutionConfig(initial_steps=initial_steps, max_steps=64)
+
+
+@pytest.mark.parametrize("evolution", [{"initial_steps": 0}, {"initial_steps": -4},
+                                       {"method": "exponential-midpoint"}])
+def test_bad_evolution_config_cli_exit_code(tmp_path, evolution):
+    # `method` is no longer an EvolutionConfig field
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "sweep", "model": {"kind": "nobarrier", "n": 1, "mu": 1.0},
+        "tau_grid": {"min": 20.0, "max": 30.0, "count": 3},
+        "evolution": evolution}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
+def test_sweep_computes_final_ground_state_once(nobarrier1, monkeypatch):
+    calls = []
+    real = evolve.ground_state
+    monkeypatch.setattr(evolve, "ground_state",
+                        lambda model, s: calls.append(s) or real(model, s))
+    tau_sweep(nobarrier1, np.linspace(20.0, 40.0, 9))
+    assert sorted(calls) == [0.0, 1.0]
 
 
 def test_two_level_matches_full_evolution(nobarrier1, nobarrier1_trace):

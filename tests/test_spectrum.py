@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from annealosc import (ModelSpec, adiabatic_time_estimate, build_model,
                        eigensystem_lowest, gap_trace, locate_crossing,
                        nobarrier_gap, rho_endpoints)
+from annealosc import spectrum
 from annealosc.models import dH_ds, hamiltonian_at
 from annealosc.spectrum import (DegenerateGroundStateError, flank_slopes,
                                 gamma_at, gap_at)
@@ -134,6 +135,23 @@ def test_refined_grid_has_no_near_duplicate_point():
     trace = gap_trace(model)
     assert np.diff(trace.s).min() >= 1e-12
     assert locate_crossing(trace).s_star == pytest.approx(0.3682826, abs=1e-6)
+
+
+def test_refined_trace_decomposes_each_point_once(monkeypatch):
+    # the gauge pass reuses the coarse pass's eigenpairs; only the
+    # refinement points are decomposed a second time
+    model = build_model(ModelSpec(kind="barrier", n=40, mu=1.0,
+                                  alpha=0.3, beta=0.5))
+    calls = []
+    real = spectrum.eigh_tridiagonal
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    trace = gap_trace(model)
+    assert len(calls) == len(trace.s) > 201
+    monkeypatch.undo()
+    fresh = gap_trace(model, grid=trace.s, refine=False)
+    for name in ("lambda0", "lambda1", "delta", "gamma", "rho", "vec0", "vec1"):
+        assert np.array_equal(getattr(trace, name), getattr(fresh, name)), name
 
 
 def test_monotone_gap_reports_no_crossing():
