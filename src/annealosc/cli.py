@@ -75,6 +75,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.model is None and self.mode != "reproduce-figure":
+            raise ValueError(f"{self.mode} mode requires a model")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -385,16 +387,29 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", type=Path, help="JSON experiment config")
     ap.add_argument("--mode", choices=MODES, help="override config mode")
     ap.add_argument("--out", type=Path, help="output directory")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get(THREADS_ENV, "1")),
+    ap.add_argument("--threads",
                     help=f"worker processes for sweeps (default ${THREADS_ENV} or 1)")
     ap.add_argument("--figure", help="figure name for reproduce-figure mode")
     return ap
 
 
+def _thread_count(flag: str | None) -> int:
+    """--threads if given, else $ANNEALOSC_THREADS, else 1; a positive integer."""
+    source, raw = ((THREADS_ENV, os.environ.get(THREADS_ENV, "1")) if flag is None
+                   else ("--threads", flag))
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ValueError(f"{source} must be at least 1, got {threads}")
+    return threads
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        threads = _thread_count(args.threads)
         raw = {}
         if args.config is not None:
             raw = json.loads(args.config.read_text())
@@ -414,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _dispatch(cfg, out, max(args.threads, 1))
+        _dispatch(cfg, out, threads)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

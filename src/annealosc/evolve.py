@@ -11,6 +11,21 @@ to machine precision.  A level of n substeps is n exponentials (n/2 steps),
 and levels double until the final state moves by less than the tolerance.
 For tau sweeps the eigendecompositions of a level are shared across all tau
 values, so a whole sweep costs little more than a single evolution.
+
+One pipeline serves every model.  The schedule is evaluated at all Gauss
+nodes of a level in one call, and the level is worked through in chunks of
+consecutive exponentials whose workspace is capped:
+
+- the chunk's matrices h0 + g_eff (h1 - h0) are built in one expression and
+  eigendecomposed by one batched dense eigh (dense models, and tridiagonal
+  ones up to dimension 32), or by eigh_tridiagonal per matrix (larger
+  tridiagonal models, where it is faster);
+- the phases exp(-i tau w / n) of the whole chunk are formed for every tau
+  at once;
+- up to dimension 8 the chunk's exponentials are multiplied into one
+  propagator per tau by a balanced tree; above it they act on the state in
+  turn, each as two real matrix products on the float view of the complex
+  state (the eigenvectors are real) around the phase multiplication.
 """
 
 from __future__ import annotations
@@ -20,9 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
-from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands
+# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 3
+from scipy.linalg import eigh  # noqa: F401
+from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands  # noqa: F401
 from .spectrum import GapTrace, _two_lowest
 
 
@@ -95,6 +112,22 @@ _NODE_OFFSETS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _A1, _A2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_WEIGHTS = 2.0 * np.array([[_A2, _A1], [_A1, _A2]])
 
+# Tridiagonal models up to this dimension are eigendecomposed by one batched
+# dense np.linalg.eigh per chunk, larger ones by eigh_tridiagonal per matrix.
+# Microseconds per matrix, stacks of 128 (2 vCPUs, one BLAS thread; ranges are
+# two runs):
+#   d                   13   17   29   31      33   41        85
+#   batched eigh        19   34   58   65-92   96   138-202   860
+#   eigh_tridiagonal    41   56   67   74-112  81   170-176   504
+_DENSE_EIGH_MAX_DIM = 32
+# Up to this dimension the exponentials of a chunk are multiplied into one
+# propagator per tau by a balanced tree; above it they act on the state in turn.
+_TREE_MAX_DIM = 8
+# Bytes of phases, propagators and matrix stacks held for one chunk: small
+# enough to leave the peak resident set where the per-exponential loop had it,
+# large enough that the per-chunk Python overhead is negligible.
+_WORKSPACE_BYTES = 1 << 20
+
 
 def _cf4_nodes(n_substeps: int) -> np.ndarray:
     """Gauss nodes of the n_substeps/2 CF4 steps, shape (steps, 2), in
@@ -103,65 +136,75 @@ def _cf4_nodes(n_substeps: int) -> np.ndarray:
     return (np.arange(n_substeps // 2)[:, None] + _NODE_OFFSETS) * h
 
 
-def _cf4_eigs(model: ReducedHamiltonian, n_substeps: int):
-    """Eigendecompositions of the n_substeps effective Hamiltonians, in order
-    of application; the bands (or matrices) are taken at the Gauss nodes in
-    increasing s and combined linearly, which is exact as H is affine in g."""
-    d = model.dim
-    for s1, s2 in _cf4_nodes(n_substeps):
-        if model.tridiagonal:
-            x1, x2 = (np.concatenate(tridiagonal_bands(model, s)) for s in (s1, s2))
-        else:
-            x1, x2 = hamiltonian_at(model, s1), hamiltonian_at(model, s2)
-        for c1, c2 in _CF4_WEIGHTS:
-            x = c1 * x1 + c2 * x2
-            yield eigh_tridiagonal(x[:d], x[d:]) if model.tridiagonal else eigh(x)
+def _eigs(model: ReducedHamiltonian, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (k, d) and eigenvectors (k, d, d) of H at the k schedule
+    values g; H is affine in g, so each matrix is h0 + g (h1 - h0)."""
+    h0, h1 = model.h0, model.h1
+    if not model.tridiagonal or model.dim <= _DENSE_EIGH_MAX_DIM:
+        return np.linalg.eigh(h0 + g[:, None, None] * (h1 - h0))
+    diag = np.diag(h0) + g[:, None] * (np.diag(h1) - np.diag(h0))
+    off = np.diag(h0, 1) + g[:, None] * (np.diag(h1, 1) - np.diag(h0, 1))
+    w = np.empty(diag.shape)
+    v = np.empty(diag.shape + (model.dim,))
+    for k in range(len(g)):
+        w[k], v[k] = eigh_tridiagonal(diag[k], off[k])
+    return w, v
 
 
-def _propagate_small_dim(model: ReducedHamiltonian, taus: np.ndarray,
-                         n_substeps: int, psi0: np.ndarray) -> np.ndarray:
-    """CF4 propagation specialized for few-level models.
+def _tree_apply(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Multiply the chunk's exponentials pairwise (a balanced tree) into one
+    propagator per tau and apply it, so the Python-level work grows like
+    log(chunk) instead of chunk."""
+    u = (v[None] * phases.transpose(2, 0, 1)[..., None, :]) @ v.transpose(0, 2, 1)[None]
+    # fold pairs right-to-left so earlier exponentials act first
+    while u.shape[1] > 1:
+        even = (u.shape[1] // 2) * 2
+        prod = u[:, 1:even:2] @ u[:, 0:even:2]
+        if u.shape[1] % 2:
+            prod = np.concatenate([prod, u[:, -1:]], axis=1)
+        u = prod
+    return (u[:, 0] @ psi.T[..., None])[..., 0].T
 
-    All effective Hamiltonians are eigendecomposed in one batched call, and
-    the exponentials are multiplied pairwise (a balanced tree), so the
-    Python-level work grows like log(n_substeps) instead of n_substeps.
-    """
-    g = np.asarray(model.schedule(_cf4_nodes(n_substeps)), float)
-    g = (g @ _CF4_WEIGHTS.T).ravel()
-    h = np.multiply.outer(1.0 - g, model.h0) + np.multiply.outer(g, model.h1)
-    w, v = np.linalg.eigh(h)
+
+def _sequential_apply(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Apply the chunk's exponentials one at a time.  The eigenvectors are
+    real, so the two basis changes are real GEMMs on the float view of the
+    complex state: half the flops of promoting v to complex."""
     vt = v.transpose(0, 2, 1)
-    ds = 1.0 / n_substeps
-    dim = model.dim
-    psi = np.tile(psi0.astype(complex), (len(taus), 1))[..., None]
-    # cap the (ntau, chunk, dim, dim) workspace at a few hundred MB
-    chunk = max(2, (1 << 21) // max(1, len(taus) * dim * dim))
-    for i0 in range(0, n_substeps, chunk):
-        wc, vc, vtc = w[i0:i0 + chunk], v[i0:i0 + chunk], vt[i0:i0 + chunk]
-        phases = np.exp(-1j * ds * wc[None] * taus[:, None, None])
-        u = (vc[None] * phases[..., None, :]) @ vtc[None]
-        # fold pairs right-to-left so earlier exponentials act first
-        while u.shape[1] > 1:
-            even = (u.shape[1] // 2) * 2
-            prod = u[:, 1:even:2] @ u[:, 0:even:2]
-            if u.shape[1] % 2:
-                prod = np.concatenate([prod, u[:, -1:]], axis=1)
-            u = prod
-        psi = u[:, 0] @ psi
-    return psi[..., 0].T
+    for k in range(len(v)):
+        x = (vt[k] @ psi.view(float)).view(complex)
+        x *= phases[k]
+        psi = (v[k] @ x.view(float)).view(complex)
+    return psi
+
+
+def _chunk_size(dim: int, ntau: int) -> int:
+    """Exponentials per chunk: those whose complex phases (for the tree, d x d
+    propagators) for every tau and real matrix and eigenvector stacks fit in
+    _WORKSPACE_BYTES."""
+    per_exp = 16 * ntau * dim * (dim if dim <= _TREE_MAX_DIM else 1) + 16 * dim * dim
+    return max(2, _WORKSPACE_BYTES // per_exp)
 
 
 def _propagate(model: ReducedHamiltonian, taus: np.ndarray, n_substeps: int,
                psi0: np.ndarray) -> np.ndarray:
     """CF4-evolve one initial state for every tau at once with n_substeps
-    exponentials; returns dim x ntau."""
-    if model.dim <= 8:
-        return _propagate_small_dim(model, taus, n_substeps, psi0)
-    ds = 1.0 / n_substeps
+    exponentials, chunk by chunk (see the module docstring); returns
+    dim x ntau."""
+    g = (np.asarray(model.schedule(_cf4_nodes(n_substeps)), float) @ _CF4_WEIGHTS.T).ravel()
+    apply = _tree_apply if model.dim <= _TREE_MAX_DIM else _sequential_apply
+    chunk = _chunk_size(model.dim, len(taus))
+    angle_rate = -np.asarray(taus, float) / n_substeps
     psi = np.tile(psi0.astype(complex)[:, None], (1, len(taus)))
-    for w, v in _cf4_eigs(model, n_substeps):
-        phases = np.exp(-1j * np.outer(w, taus) * ds)
-        psi = v @ (phases * (v.T @ psi))
+    for i0 in range(0, n_substeps, chunk):
+        w, v = _eigs(model, g[i0:i0 + chunk])
+        # exp(i angle) as cos + i sin written into one complex array: the same
+        # values as np.exp, without complex temporaries, in about 0.6 the time
+        phases = np.empty(w.shape + angle_rate.shape, complex)
+        np.multiply(w[..., None], angle_rate, out=phases.imag)
+        np.cos(phases.imag, out=phases.real)
+        np.sin(phases.imag, out=phases.imag)
+        psi = apply(v, phases, psi)
     return psi
 
 

@@ -194,12 +194,6 @@ class CrossingParams:
         return self.kind == "avoided"
 
 
-def _flank_slope(model: ReducedHamiltonian, lo: float, hi: float, n: int = 40) -> float:
-    ss = np.linspace(lo, hi, n)
-    dd = np.array([gap_at(model, s) for s in ss])
-    return float(np.polyfit(ss, dd, 1)[0])
-
-
 def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
                     quad_tol: float = 1e-10) -> CrossingParams:
     """Refine the gap minimum, classify it, and integrate the gap.
@@ -210,9 +204,8 @@ def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
     which is exact for the Landau-Zener gap sqrt(g**2 + v**2 (s - s*)**2) and
     insensitive to where the crossing region ends.  (The straight flanks of
     the gap curve never reach the asymptotic slope when the crossing region
-    is narrow, so a flank-line fit systematically underestimates v; see
-    flank_slopes for that diagnostic.)  omega_-/omega_+ come from adaptive
-    quadrature of Delta split at s*.
+    is narrow, so a flank-line fit systematically underestimates v.)
+    omega_-/omega_+ come from adaptive quadrature of Delta split at s*.
     """
     model = trace.model
     i = int(np.argmin(trace.delta))
@@ -257,23 +250,6 @@ def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
     v = math.sqrt(max(curv / 2.0, 0.0))
     return CrossingParams(kind="avoided", s_star=s_star, g=g, v=v,
                           omega_minus=omega_minus, omega_plus=omega_plus)
-
-
-def flank_slopes(trace: GapTrace, crossing: CrossingParams) -> tuple[float, float]:
-    """Separate left/right flank slopes of an avoided crossing (for asymmetry
-    diagnostics)."""
-    if not crossing.has_crossing:
-        raise ValueError("no avoided crossing")
-    model = trace.model
-    s_star, g = crossing.s_star, crossing.g
-    left = optimize.brentq(lambda s: gap_at(model, s) - 2 * g, 0.0, s_star, xtol=1e-10)
-    right = optimize.brentq(lambda s: gap_at(model, s) - 2 * g, s_star, 1.0, xtol=1e-10)
-    w = max(s_star - left, right - s_star)
-    wlo = max(s_star - 6 * w, 0.0)
-    whi = min(s_star + 6 * w, 1.0)
-    sl = _flank_slope(model, wlo, max(s_star - 2 * w, wlo + 1e-6))
-    sr = _flank_slope(model, min(s_star + 2 * w, whi - 1e-6), whi)
-    return sl, sr
 
 
 def nobarrier_gap(s, mu: float):

@@ -59,6 +59,26 @@ def test_main_requires_mode(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["gap", "sweep", "predict", "fit", "grover"])
+def test_missing_model_rejected(tmp_path, capsys, mode):
+    assert main(["--mode", mode, "--out", str(tmp_path)]) == 1
+    assert "requires a model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+def test_bad_threads_env_rejected(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("ANNEALOSC_THREADS", value)
+    assert main(["--mode", "gap", "--out", str(tmp_path)]) == 1
+    assert "error: ANNEALOSC_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_threads_flag_rejected(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("ANNEALOSC_THREADS", "2")
+    assert main(["--mode", "gap", "--threads", value, "--out", str(tmp_path)]) == 1
+    assert "error: --threads" in capsys.readouterr().err
+
+
 def test_main_rejects_bad_config_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

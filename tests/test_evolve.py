@@ -13,7 +13,7 @@ from annealosc.evolve import ConvergenceError, _propagate
 from annealosc.models import hamiltonian_at
 from annealosc.spectrum import gap_trace
 
-from oracles import integrate_schrodinger_full
+from oracles import cf4_reference, integrate_schrodinger_full
 
 from test_spectrum import OMEGA_NB_MU1
 
@@ -138,6 +138,40 @@ def test_cf4_convergence_order(nobarrier1):
         errs.append(np.linalg.norm(psi - ref))
     assert errs[0] / errs[1] >= 15.0
     assert errs[1] / errs[2] >= 15.0
+
+
+def _barrier(n):
+    return build_model(ModelSpec(kind="barrier", n=n, mu=1.0, alpha=0.3, beta=0.5))
+
+
+@pytest.mark.parametrize("case, n_substeps", [
+    ("grover64", 8192),    # tree-product apply
+    ("barrier12", 1024),   # batched dense eigh, sequential real-GEMM apply
+    ("barrier16", 1024),
+    ("barrier84", 250),    # eigh_tridiagonal per matrix
+])
+def test_propagate_matches_per_exponential_reference(request, case, n_substeps):
+    model = request.getfixturevalue(case) if case in ("grover64", "barrier84") \
+        else _barrier(int(case[len("barrier"):]))
+    taus = np.array([20.0, 37.0, 61.5, 90.0, 140.0])
+    # the level ends in a partial chunk
+    chunk = evolve._chunk_size(model.dim, len(taus))
+    assert chunk < n_substeps and n_substeps % chunk
+    psi0 = ground_state(model, 0.0)
+    psi = _propagate(model, taus, n_substeps, psi0)
+    ref = cf4_reference(model, taus, n_substeps, psi0)
+    assert np.linalg.norm(psi - ref, axis=0).max() <= 1e-12
+
+
+def test_eigensolver_branches_agree(monkeypatch):
+    model = _barrier(16)
+    taus = np.array([25.0, 55.0, 95.0])
+    psi0 = ground_state(model, 0.0)
+    monkeypatch.setattr(evolve, "_DENSE_EIGH_MAX_DIM", model.dim)
+    dense = _propagate(model, taus, 512, psi0)
+    monkeypatch.setattr(evolve, "_DENSE_EIGH_MAX_DIM", model.dim - 1)
+    banded = _propagate(model, taus, 512, psi0)
+    assert np.linalg.norm(dense - banded, axis=0).max() <= 1e-12
 
 
 def test_nonconvergence_reported(nobarrier1):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.integrate import quad
 
 from annealosc import (ModelSpec, adiabatic_time_estimate, build_model,
@@ -9,8 +10,7 @@ from annealosc import (ModelSpec, adiabatic_time_estimate, build_model,
                        nobarrier_gap, rho_endpoints)
 from annealosc import spectrum
 from annealosc.models import dH_ds, hamiltonian_at
-from annealosc.spectrum import (DegenerateGroundStateError, flank_slopes,
-                                gamma_at, gap_at)
+from annealosc.spectrum import DegenerateGroundStateError, gamma_at, gap_at
 
 from oracles import full_qubit_hamiltonians, symmetric_sector_eigenvalues
 
@@ -168,6 +168,27 @@ def test_quadrature_grid_consistency(barrier84, barrier84_crossing):
     finer = locate_crossing(gap_trace(barrier84, n_points=401))
     assert finer.omega_minus == pytest.approx(barrier84_crossing.omega_minus, abs=1e-9)
     assert finer.omega_plus == pytest.approx(barrier84_crossing.omega_plus, abs=1e-9)
+
+
+def _flank_slope(model, lo, hi, n=40):
+    ss = np.linspace(lo, hi, n)
+    dd = np.array([gap_at(model, s) for s in ss])
+    return float(np.polyfit(ss, dd, 1)[0])
+
+
+def flank_slopes(trace, crossing):
+    """Left and right slopes of the gap's straight flanks, fitted between two
+    and six half-widths (at Delta = 2g) from an avoided crossing."""
+    model = trace.model
+    s_star, g = crossing.s_star, crossing.g
+    left = optimize.brentq(lambda s: gap_at(model, s) - 2 * g, 0.0, s_star, xtol=1e-10)
+    right = optimize.brentq(lambda s: gap_at(model, s) - 2 * g, s_star, 1.0, xtol=1e-10)
+    w = max(s_star - left, right - s_star)
+    wlo = max(s_star - 6 * w, 0.0)
+    whi = min(s_star + 6 * w, 1.0)
+    sl = _flank_slope(model, wlo, max(s_star - 2 * w, wlo + 1e-6))
+    sr = _flank_slope(model, min(s_star + 2 * w, whi - 1e-6), whi)
+    return sl, sr
 
 
 def test_cubic_crossing_is_asymmetric(cubic30_trace):
