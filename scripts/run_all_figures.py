@@ -4,8 +4,8 @@
 Usage:
     python scripts/run_all_figures.py --out results --threads 4
 
-Figures 7 and 9 run large direct sweeps (a few minutes each at the
-production tolerances); everything else finishes in seconds.
+Figures 4, 6, 7 and 9 run large direct sweeps (20 s to a minute each on 2
+cores with --threads 2); everything else finishes in seconds.
 """
 
 import argparse

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -25,14 +26,13 @@ from .evolve import ConvergenceError, EvolutionConfig, SweepResult, tau_sweep
 from .fit import FitResult, fit_A, fit_A_v
 from .models import ModelSpec, build_model
 from .predict import (LargeGapParams, SplitParams, grover_gamma, grover_omega,
-                      predict_grover, predict_large_gap, predict_split,
-                      split_params_from_crossing)
+                      grover_period, predict_grover, predict_large_gap,
+                      predict_split, split_params_from_crossing)
 from .spectrum import (DegenerateGroundStateError, gap_trace, locate_crossing,
                        rho_endpoints)
 
 MODES = ("gap", "sweep", "predict", "fit", "grover", "reproduce-figure")
 THREADS_ENV = "ANNEALOSC_THREADS"
-_SWEEP_CHUNK = 64  # fixed chunking keeps results independent of thread count
 
 
 @dataclass(frozen=True)
@@ -127,29 +127,12 @@ def write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _sweep_chunk(model_dict: dict, taus: list[float], evo: dict) -> list[float]:
-    model = build_model(ModelSpec.from_dict(model_dict))
-    result = tau_sweep(model, np.array(taus), EvolutionConfig(**evo))
-    return list(result.probs)
+def run_sweep_config(spec: ModelSpec, taus: np.ndarray, evo: EvolutionConfig) -> SweepResult:
+    """One tau sweep of the config's model over every tau."""
+    return tau_sweep(build_model(spec), taus, evo)
 
 
-def run_sweep_config(spec: ModelSpec, taus: np.ndarray, evo: EvolutionConfig,
-                     threads: int = 1) -> SweepResult:
-    """Chunked tau sweep, optionally distributed over worker processes."""
-    model_dict = {k: v for k, v in asdict(spec).items() if v is not None}
-    chunks = [taus[i:i + _SWEEP_CHUNK] for i in range(0, len(taus), _SWEEP_CHUNK)]
-    evo_dict = asdict(evo)
-    if threads > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_sweep_chunk,
-                                  [model_dict] * len(chunks),
-                                  [list(c) for c in chunks],
-                                  [evo_dict] * len(chunks)))
-    else:
-        parts = [_sweep_chunk(model_dict, list(c), evo_dict) for c in chunks]
-    probs = np.concatenate([np.asarray(p) for p in parts])
-    return SweepResult(taus=taus.copy(), probs=probs,
-                       model_label=build_model(spec).label, config=evo)
+_sweep_chunk = run_sweep_config  # unused; perfbench/tracing.py looks it up (ROADMAP item 3)
 
 
 def _endpoint_rhos(spec: ModelSpec, trace) -> tuple[float, float]:
@@ -196,12 +179,11 @@ def run_gap(cfg: ExperimentConfig, out: Path, tag: str = "") -> dict:
     return payload
 
 
-def run_sweep(cfg: ExperimentConfig, out: Path, threads: int = 1,
-              tag: str = "") -> SweepResult:
+def run_sweep(cfg: ExperimentConfig, out: Path, tag: str = "") -> SweepResult:
     if cfg.tau_grid is None:
         raise ValueError("sweep mode requires a tau_grid")
     taus = cfg.tau_grid.values()
-    result = run_sweep_config(cfg.model, taus, cfg.evolution, threads)
+    result = run_sweep_config(cfg.model, taus, cfg.evolution)
     write_csv(out / f"sweep{tag}.csv", ["tau", "p_transition", "p_ground"],
               [result.taus, result.probs, 1.0 - result.probs], cfg)
     write_json(out / f"sweep_config{tag}.json", cfg.snapshot(), cfg)
@@ -245,9 +227,8 @@ def run_predict(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
     write_json(out / f"prediction_params{tag}.json", params, cfg)
 
 
-def run_fit(cfg: ExperimentConfig, out: Path, threads: int = 1,
-            tag: str = "", sweep: SweepResult | None = None
-            ) -> tuple[FitResult, SplitParams]:
+def run_fit(cfg: ExperimentConfig, out: Path, tag: str = "",
+            sweep: SweepResult | None = None) -> tuple[FitResult, SplitParams]:
     spec = cfg.model
     model = build_model(spec)
     trace = gap_trace(model, n_points=cfg.s_points)
@@ -258,7 +239,7 @@ def run_fit(cfg: ExperimentConfig, out: Path, threads: int = 1,
     if sweep is None:
         if cfg.tau_grid is None:
             raise ValueError("fit mode requires a tau_grid (inline sweep generation)")
-        sweep = run_sweep_config(spec, cfg.tau_grid.values(), cfg.evolution, threads)
+        sweep = run_sweep_config(spec, cfg.tau_grid.values(), cfg.evolution)
     m = int(cfg.prediction.get("m", _default_m(spec)))
     if cfg.fit_vary_v:
         p = _split_params(spec, trace, crossing, v=crossing.v, m=m)
@@ -281,7 +262,7 @@ def run_grover(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
     payload = {
         "N": spec.big_n, "M": spec.big_m,
         "omega": grover_omega(spec.big_n, spec.big_m),
-        "period": 1.0 / grover_omega(spec.big_n, spec.big_m),
+        "period": grover_period(spec.big_n, spec.big_m),
         "rho": grover_gamma(spec.big_n, spec.big_m, 0.0),
     }
     write_json(out / f"grover{tag}.json", payload, cfg)
@@ -345,8 +326,7 @@ def _figure_configs(name: str) -> list[tuple[str, ExperimentConfig]]:
         # the cubic oscillation only emerges once the Landau-Zener amplitude
         # has decayed to the scale of the boundary terms, far out in tau
         tau = {"min": 6000.0, "max": 7500.0, "count": 251}
-        evo = {"step_tolerance": 1e-4, "initial_steps": 32768,
-               "max_steps": 1 << 17}
+        evo = {"step_tolerance": 1e-4, "max_steps": 1 << 17}
         return [("", _recipe("fit", cubic30, tau, evolution=evo,
                              fit_vary_v=True))]
     if name == "fig10":
@@ -357,26 +337,38 @@ def _figure_configs(name: str) -> list[tuple[str, ExperimentConfig]]:
 
 
 def run_reproduce_figure(cfg: ExperimentConfig, out: Path, threads: int = 1) -> None:
+    """Run the recipe's sub-configs, whole ones on `threads` spawned workers."""
     if not cfg.figure:
         raise ValueError("reproduce-figure mode requires a figure name")
-    for tag, sub in _figure_configs(cfg.figure):
-        tag = f"_{cfg.figure}{tag}"
-        _dispatch(sub, out, threads, tag)
+    jobs = [(sub, out, f"_{cfg.figure}{tag}") for tag, sub in _figure_configs(cfg.figure)]
+    if threads == 1 or len(jobs) == 1:
+        for job in jobs:
+            _dispatch(*job)
+        return
+    env = dict(os.environ)
+    # spawned workers read these as they import numpy: n workers use n cores
+    os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    try:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            for future in [pool.submit(_dispatch, *job) for job in jobs]:
+                future.result()
+    finally:
+        os.environ.clear()
+        os.environ.update(env)
 
 
-def _dispatch(cfg: ExperimentConfig, out: Path, threads: int, tag: str = "") -> None:
+def _dispatch(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
     if cfg.mode == "gap":
         run_gap(cfg, out, tag)
     elif cfg.mode == "sweep":
-        run_sweep(cfg, out, threads, tag)
+        run_sweep(cfg, out, tag)
     elif cfg.mode == "predict":
         run_predict(cfg, out, tag)
     elif cfg.mode == "fit":
-        run_fit(cfg, out, threads, tag)
+        run_fit(cfg, out, tag)
     elif cfg.mode == "grover":
         run_grover(cfg, out, tag)
-    elif cfg.mode == "reproduce-figure":
-        run_reproduce_figure(cfg, out, threads)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--mode", choices=MODES, help="override config mode")
     ap.add_argument("--out", type=Path, help="output directory")
     ap.add_argument("--threads",
-                    help=f"worker processes for sweeps (default ${THREADS_ENV} or 1)")
+                    help="worker processes that run a figure recipe's sub-configs "
+                         f"in parallel (default ${THREADS_ENV} or 1)")
     ap.add_argument("--figure", help="figure name for reproduce-figure mode")
     return ap
 
@@ -429,7 +422,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _dispatch(cfg, out, threads)
+        if cfg.mode == "reproduce-figure":
+            run_reproduce_figure(cfg, out, threads)
+        else:
+            _dispatch(cfg, out)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,8 @@ from scipy.interpolate import CubicSpline
 
 from annealosc import (ModelSpec, build_model, gap_trace, locate_crossing,
                        tau_sweep)
-from annealosc.cli import run_sweep_config
+from annealosc import cli
+from annealosc.cli import main
 from annealosc.evolve import (EvolutionConfig, _propagate,
                               evolve_schrodinger, evolve_two_level,
                               ground_state, transition_probability)
@@ -28,6 +29,7 @@ from annealosc.predict import (LargeGapParams, SplitParams, grover_gamma,
 from annealosc.spectrum import nobarrier_gap, rho_endpoints
 from oracles import (full_grover_hamiltonian, full_qubit_hamiltonians,
                      symmetric_sector_eigenvalues)
+from test_cli import _cheap_recipe
 
 
 def _verdict(capsys, num, label, checks):
@@ -208,7 +210,7 @@ def test_criterion_6_cubic_joint_fit_reproduces_extrema(capsys):
     crossing = locate_crossing(trace)
     taus = np.linspace(6000.0, 7500.0, 251)
     sweep = tau_sweep(model, taus, EvolutionConfig(
-        step_tolerance=1e-4, initial_steps=32768, max_steps=1 << 17))
+        step_tolerance=1e-4, max_steps=1 << 17))
     rho0, rho1 = rho_endpoints(trace)
     params = split_params_from_crossing(crossing, rho0, rho1, m=1)
     result = fit_A_v(sweep, params, v_range=(0.5, 50.0))
@@ -289,7 +291,8 @@ def test_criterion_8_integrator_properties(capsys, nobarrier1,
     })
 
 
-def test_criterion_9_fit_round_trips_and_cli_determinism(capsys, tmp_path):
+def test_criterion_9_fit_round_trips_and_cli_determinism(capsys, tmp_path,
+                                                         monkeypatch):
     base = SplitParams(rho0=0.5, rho1=1.0, omega_minus=0.3, omega_plus=0.5,
                        g=0.25, v=0.5, A=None, m=1)
     taus = np.linspace(20.0, 120.0, 150)
@@ -304,16 +307,19 @@ def test_criterion_9_fit_round_trips_and_cli_determinism(capsys, tmp_path):
                            model_label="synthetic", config=EvolutionConfig())
     res_av = fit_A_v(sweep_av, base)
 
-    spec = ModelSpec(kind="nobarrier", n=1, mu=1.0)
-    grid = np.linspace(20.0, 40.0, 25)
-    evo = EvolutionConfig(step_tolerance=1e-6)
-    first = run_sweep_config(spec, grid, evo, threads=1)
-    second = run_sweep_config(spec, grid, evo, threads=2)
+    # the sub-configs of a recipe, run in one process and on two workers
+    monkeypatch.setattr(cli, "_figure_configs", _cheap_recipe)
+    outputs = {}
+    for threads in ("1", "2"):
+        assert main(["--figure", "fig3", "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 0
+        outputs[threads] = {p.name: p.read_bytes()
+                            for p in sorted((tmp_path / threads).glob("sweep_*.csv"))}
     _verdict(capsys, 9, "fit round trips and deterministic outputs", {
         "A recovered to 1e-6": abs(res_a.a_hat - 0.25) <= 1e-6,
         "(A, v) recovered to 1e-4 relative":
             abs(res_av.a_hat / 0.2 - 1.0) <= 1e-4
             and abs(res_av.v_hat / 0.5 - 1.0) <= 1e-4,
         "sweeps bitwise reproducible across thread counts":
-            np.array_equal(first.probs, second.probs),
+            len(outputs["1"]) == 2 and outputs["1"] == outputs["2"],
     })

@@ -1,13 +1,13 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from annealosc.cli import (ExperimentConfig, TauGrid, _figure_configs,
-                           config_hash, main, run_sweep_config)
-from annealosc.evolve import EvolutionConfig
-from annealosc.models import ModelSpec
+from annealosc import cli
+from annealosc.cli import (ExperimentConfig, TauGrid, _figure_configs, _recipe,
+                           config_hash, main)
 
 NOBARRIER = {"kind": "nobarrier", "n": 1, "mu": 1.0}
 
@@ -169,15 +169,36 @@ def test_grover_mode(tmp_path):
     assert (tmp_path / "grover_prediction.csv").exists()
 
 
-# -------------------------------------------------------- sweeps & threads
+# -------------------------------------------------------- recipe workers
 
-def test_run_sweep_config_thread_invariance():
-    spec = ModelSpec(kind="nobarrier", n=1, mu=1.0)
-    taus = np.linspace(20.0, 60.0, 130)  # spans three fixed-size chunks
-    evo = EvolutionConfig(step_tolerance=1e-6)
-    serial = run_sweep_config(spec, taus, evo, threads=1)
-    parallel = run_sweep_config(spec, taus, evo, threads=2)
-    assert np.array_equal(serial.probs, parallel.probs)
+def _cheap_recipe(name):
+    tau = {"min": 20.0, "max": 40.0, "count": 25}
+    evo = {"step_tolerance": 1e-6}
+    return [("_mu1", _recipe("sweep", NOBARRIER, tau, evolution=evo)),
+            ("_mu2", _recipe("sweep", dict(NOBARRIER, mu=2.0), tau, evolution=evo)),
+            ("_theory", _recipe("predict", NOBARRIER, tau))]
+
+
+def test_reproduce_figure_thread_invariance(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_figure_configs", _cheap_recipe)
+    env = dict(os.environ)
+    for threads in ("1", "2"):
+        assert main(["--figure", "fig3", "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 0
+    assert dict(os.environ) == env  # the workers' BLAS settings stay theirs
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    assert len(names) == 6
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    failing = _recipe("sweep", NOBARRIER, {"min": 50.0, "max": 60.0, "count": 3},
+                      evolution={"step_tolerance": 1e-14, "max_steps": 64,
+                                 "initial_steps": 16})
+    monkeypatch.setattr(cli, "_figure_configs",
+                        lambda name: _cheap_recipe(name) + [("_bad", failing)])
+    assert main(["--figure", "fig3", "--out", str(tmp_path / "bad"),
+                 "--threads", "2"]) == 2
 
 
 # --------------------------------------------------------- figure recipes

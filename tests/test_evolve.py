@@ -111,6 +111,21 @@ def test_sweep_composition_and_independence(nobarrier1):
     assert np.all((sweep.probs >= 0) & (sweep.probs <= 1))
 
 
+@pytest.mark.parametrize("case, taus, tau, tol", [
+    ("nobarrier1", np.array([40.0, 400.0, 1000.0]), 400.0, 1e-5),
+    ("barrier16", np.linspace(20.0, 100.0, 65), 60.0, 1e-5),
+    ("grover64", np.linspace(100.0, 300.0, 41), 200.0, 1e-7),
+])
+def test_sweep_batch_independent(request, case, taus, tau, tol):
+    # each tau is accepted on its own error, so the taus it shares a sweep
+    # with do not change its P
+    model = _barrier(16) if case == "barrier16" else request.getfixturevalue(case)
+    cfg = EvolutionConfig(step_tolerance=tol)
+    alone = tau_sweep(model, np.array([tau]), cfg).probs[0]
+    batch = tau_sweep(model, taus, cfg).probs[np.flatnonzero(taus == tau)[0]]
+    assert abs(batch - alone) <= 1e-12 * alone
+
+
 def test_sweep_validates_taus(nobarrier1):
     with pytest.raises(ValueError):
         tau_sweep(nobarrier1, np.array([10.0, 5.0]))
