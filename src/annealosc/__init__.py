@@ -1,13 +1,12 @@
 """Near-adiabatic annealing simulations and leakage-oscillation analysis."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .models import (ModelSpec, ReducedHamiltonian, build_barrier_model,
                      build_cubic_model, build_grover_model,
                      build_nobarrier_model, build_model, dH_ds, hamiltonian_at)
-from .spectrum import (CrossingParams, GapTrace, adiabatic_time_estimate,
-                       eigensystem_lowest, gap_trace, locate_crossing,
-                       nobarrier_gap, rho_endpoints)
+from .spectrum import (CrossingParams, GapTrace, eigensystem_lowest, gap_trace,
+                       locate_crossing, nobarrier_gap, rho_endpoints)
 from .evolve import (EvolutionConfig, SweepResult, TwoLevelAmplitudes,
                      evolve_schrodinger, evolve_two_level, ground_state,
                      tau_sweep, transition_probability)

@@ -17,10 +17,9 @@ One pipeline serves every model.  The schedule is evaluated at all Gauss
 nodes of a level in one call, and the level is worked through in chunks of
 consecutive exponentials whose workspace is capped:
 
-- the chunk's matrices h0 + g_eff (h1 - h0) are built in one expression and
-  eigendecomposed by one batched dense eigh (dense models, and tridiagonal
-  ones up to dimension 32), or by eigh_tridiagonal per matrix (larger
-  tridiagonal models, where it is faster);
+- the chunk's matrices h0 + g_eff (h1 - h0) are eigendecomposed by
+  spectrum's `_eigs`, the package's one eigensolver (one batched dense eigh,
+  or eigh_tridiagonal per matrix for tridiagonal models above dimension 32);
 - the phases exp(-i tau w / n) of the whole chunk are formed for every tau
   at once;
 - up to dimension 8 the chunk's exponentials are multiplied into one
@@ -36,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
 
 # unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 3
-from scipy.linalg import eigh  # noqa: F401
+from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands  # noqa: F401
-from .spectrum import GapTrace, _two_lowest
+from .spectrum import _WORKSPACE_BYTES, GapTrace, _eigs, _two_lowest
 
 
 class ConvergenceError(RuntimeError):
@@ -115,21 +113,9 @@ _NODE_OFFSETS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _A1, _A2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_WEIGHTS = 2.0 * np.array([[_A2, _A1], [_A1, _A2]])
 
-# Tridiagonal models up to this dimension are eigendecomposed by one batched
-# dense np.linalg.eigh per chunk, larger ones by eigh_tridiagonal per matrix.
-# Microseconds per matrix, stacks of 128 (2 vCPUs, one BLAS thread; ranges are
-# two runs):
-#   d                   13   17   29   31      33   41        85
-#   batched eigh        19   34   58   65-92   96   138-202   860
-#   eigh_tridiagonal    41   56   67   74-112  81   170-176   504
-_DENSE_EIGH_MAX_DIM = 32
 # Up to this dimension the exponentials of a chunk are multiplied into one
 # propagator per tau by a balanced tree; above it they act on the state in turn.
 _TREE_MAX_DIM = 8
-# Bytes of phases, propagators and matrix stacks held for one chunk: small
-# enough to leave the peak resident set where the per-exponential loop had it,
-# large enough that the per-chunk Python overhead is negligible.
-_WORKSPACE_BYTES = 1 << 20
 
 
 def _cf4_nodes(n_substeps: int) -> np.ndarray:
@@ -137,21 +123,6 @@ def _cf4_nodes(n_substeps: int) -> np.ndarray:
     increasing s."""
     h = 2.0 / n_substeps
     return (np.arange(n_substeps // 2)[:, None] + _NODE_OFFSETS) * h
-
-
-def _eigs(model: ReducedHamiltonian, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (k, d) and eigenvectors (k, d, d) of H at the k schedule
-    values g; H is affine in g, so each matrix is h0 + g (h1 - h0)."""
-    h0, h1 = model.h0, model.h1
-    if not model.tridiagonal or model.dim <= _DENSE_EIGH_MAX_DIM:
-        return np.linalg.eigh(h0 + g[:, None, None] * (h1 - h0))
-    diag = np.diag(h0) + g[:, None] * (np.diag(h1) - np.diag(h0))
-    off = np.diag(h0, 1) + g[:, None] * (np.diag(h1, 1) - np.diag(h0, 1))
-    w = np.empty(diag.shape)
-    v = np.empty(diag.shape + (model.dim,))
-    for k in range(len(g)):
-        w[k], v[k] = eigh_tridiagonal(diag[k], off[k])
-    return w, v
 
 
 def _tree_apply(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:

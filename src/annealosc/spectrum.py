@@ -2,6 +2,10 @@
 
 Conventions: Delta(s) = lambda1 - lambda0 > 0, gamma(s) = <phi0|dH/ds|phi1>
 with a sign-continuous eigenvector gauge, and rho(s) = gamma(s)/Delta(s)**2.
+
+`_eigs` is the package's one eigensolver (batched dense eigh, or
+eigh_tridiagonal per matrix for tridiagonal models above dimension 32):
+`gap_trace`, the scalar helpers and evolve's propagator all call it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import numpy as np
 from scipy import integrate, interpolate, optimize
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from .models import ReducedHamiltonian, dH_ds, hamiltonian_at, tridiagonal_bands
+from .models import ReducedHamiltonian, dH_ds
+# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 3
+from .models import hamiltonian_at, tridiagonal_bands  # noqa: F401
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -35,12 +41,52 @@ def eigensystem_lowest(h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+# Tridiagonal models up to this dimension are eigendecomposed by batched dense
+# np.linalg.eigh, larger ones by eigh_tridiagonal per matrix.  Microseconds
+# per matrix, stacks of 128 (2 vCPUs, one BLAS thread; ranges are two runs):
+#   d                   13   17   29   31      33   41        85
+#   batched eigh        19   34   58   65-92   96   138-202   860
+#   eigh_tridiagonal    41   56   67   74-112  81   170-176   504
+_DENSE_EIGH_MAX_DIM = 32
+# Bytes of the arrays held for one batch of matrices (in evolve, one chunk):
+# a flat peak resident set at a negligible per-batch Python overhead.
+_WORKSPACE_BYTES = 1 << 20
+
+
+def _eigs(model: ReducedHamiltonian, g, lowest: int | None = None
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (k, m) and eigenvectors (k, d, m) of H = h0 + g (h1 - h0)
+    at the k schedule values g, ascending: all d levels, or the `lowest` m.
+    The dense branch checks those to ||Hv - lv|| <= 1e-10 max(||H||, 1)."""
+    g = np.asarray(g, float)
+    d, m = model.dim, lowest or model.dim
+    h0, dh = model.h0, model.h1 - model.h0
+    w, v = np.empty((len(g), m)), np.empty((len(g), d, m))
+    if model.tridiagonal and d > _DENSE_EIGH_MAX_DIM:
+        diag = h0.diagonal() + g[:, None] * dh.diagonal()
+        off = h0.diagonal(1) + g[:, None] * dh.diagonal(1)
+        opts = {} if lowest is None else {"select": "i", "select_range": (0, m - 1)}
+        for k in range(len(g)):
+            w[k], v[k] = eigh_tridiagonal(diag[k], off[k], **opts)
+        return w, v
+    batch = max(1, _WORKSPACE_BYTES // (16 * d * d))  # matrix and vector stacks
+    for i in range(0, len(g), batch):
+        h = h0 + g[i:i + batch, None, None] * dh
+        wb, vb = np.linalg.eigh(h)
+        w[i:i + batch], v[i:i + batch] = wb[:, :m], vb[..., :m]
+        if lowest is not None:
+            resid = np.linalg.norm(h @ vb[..., :m] - vb[..., :m] * wb[:, None, :m], axis=1)
+            scale = np.maximum(np.abs(wb).max(axis=1), 1.0)  # ||H||_2
+            if np.any(resid > 1e-10 * scale[:, None]):
+                raise RuntimeError(f"eigensolver residual too large: {resid.max():.3e}")
+    return w, v
+
+
 def _two_lowest(model: ReducedHamiltonian, s: float) -> tuple[np.ndarray, np.ndarray]:
-    if model.tridiagonal:
-        diag, off = tridiagonal_bands(model, s)
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-        return vals, vecs
-    return eigensystem_lowest(hamiltonian_at(model, s), 2)
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s must lie in [0, 1], got {s}")
+    w, v = _eigs(model, np.atleast_1d(model.schedule(s)), 2)
+    return w[0], v[0]
 
 
 def gap_at(model: ReducedHamiltonian, s: float) -> float:
@@ -61,8 +107,12 @@ class GapTrace:
     """Spectral data sampled on an increasing s grid covering [0, 1].
 
     Eigenvector signs are fixed so successive overlaps are positive, which
-    makes gamma(s) continuous on the grid.  The eigenvectors themselves are
-    kept (dim x npoints per level) for cross checks and endpoint gauges.
+    makes gamma(s) continuous on the grid, and at s = 0 so that the ground
+    state's largest-magnitude entry (as in `ground_state`) and gamma are not
+    negative, whatever the eigensolver.  gauge_continuous is False when an
+    |overlap| is below 1/sqrt(2) (over 45 degrees of turn in one cell): the
+    grid is too coarse to trust the signs.  The vectors are kept (dim x
+    npoints per level) for cross checks and endpoint gauges.
     """
 
     s: np.ndarray
@@ -74,7 +124,7 @@ class GapTrace:
     vec0: np.ndarray = field(repr=False)
     vec1: np.ndarray = field(repr=False)
     model: ReducedHamiltonian = field(repr=False)
-    gauge_continuous: bool = True
+    gauge_continuous: bool
 
     def __post_init__(self):
         if self.s[0] != 0.0 or self.s[-1] != 1.0 or np.any(np.diff(self.s) <= 0):
@@ -119,8 +169,8 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
     """Sample the two lowest levels along s with a sign-continuous gauge.
 
     A uniform base grid is used unless `grid` is given; when `refine` is set
-    and the gap has an interior minimum, extra points are inserted around it
-    before the gauge-fixing pass.
+    and the gap has an interior minimum, extra points are inserted around it.
+    The grid and the refinement points are each decomposed in one batch.
     """
     if grid is None:
         if n_points < 64:
@@ -130,42 +180,31 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
     if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must strictly increase from 0 to 1")
 
-    known = {}  # s -> eigenpairs of the coarse pass, reused by the gauge pass
-    if refine:
-        known = {s: _two_lowest(model, s) for s in grid.tolist()}
-        coarse_delta = np.array([vals[1] - vals[0] for vals, _ in known.values()])
-        if np.any(coarse_delta <= 0):
-            raise DegenerateGroundStateError("nonpositive gap on coarse grid")
-        extra = _crossing_refine_grid(grid, coarse_delta, n_refine)
-        if extra.size:
-            grid = np.unique(np.concatenate([grid, extra]))
+    lam, vecs = _eigs(model, model.schedule(grid), 2)
+    if np.any(lam[:, 1] <= lam[:, 0]):
+        raise DegenerateGroundStateError("nonpositive gap on coarse grid")
+    extra = _crossing_refine_grid(grid, lam[:, 1] - lam[:, 0], n_refine) if refine else grid[:0]
+    if extra.size:
+        lam_x, vecs_x = _eigs(model, model.schedule(extra), 2)
+        order = np.argsort(np.concatenate([grid, extra]))
+        grid, lam, vecs = (np.concatenate(pair)[order] for pair in
+                           ((grid, extra), (lam, lam_x), (vecs, vecs_x)))
 
-    npts = len(grid)
-    lam0 = np.empty(npts)
-    lam1 = np.empty(npts)
-    vec0 = np.empty((model.dim, npts))
-    vec1 = np.empty((model.dim, npts))
-    prev = None
-    for i, s in enumerate(grid):
-        vals, vecs = known.pop(s) if s in known else _two_lowest(model, s)
-        if vals[1] - vals[0] <= 0:
-            raise DegenerateGroundStateError(f"degenerate levels at s={s}")
-        if prev is not None:
-            for j in range(2):
-                if prev[:, j] @ vecs[:, j] < 0:
-                    vecs[:, j] = -vecs[:, j]
-        prev = vecs
-        lam0[i], lam1[i] = vals
-        vec0[:, i] = vecs[:, 0]
-        vec1[:, i] = vecs[:, 1]
+    overlap = np.einsum("kil,kil->kl", vecs[:-1], vecs[1:])
+    vecs[1:] *= np.cumprod(np.where(overlap < 0, -1.0, 1.0), axis=0)[:, None, :]
+    if vecs[0, np.argmax(np.abs(vecs[0, :, 0])), 0] < 0:
+        vecs[..., 0] *= -1.0
+    gamma = model.schedule_deriv(grid) * np.einsum(
+        "ki,ki->k", vecs[..., 0] @ (model.h1 - model.h0), vecs[..., 1])
+    if gamma[0] < 0:
+        vecs[..., 1] *= -1.0
+        gamma = -gamma
 
-    delta = lam1 - lam0
-    gamma = np.empty(npts)
-    for i, s in enumerate(grid):
-        gamma[i] = vec0[:, i] @ dH_ds(model, s) @ vec1[:, i]
-    rho = gamma / delta**2
-    return GapTrace(s=grid, lambda0=lam0, lambda1=lam1, delta=delta,
-                    gamma=gamma, rho=rho, vec0=vec0, vec1=vec1, model=model)
+    delta = lam[:, 1] - lam[:, 0]
+    return GapTrace(s=grid, lambda0=lam[:, 0], lambda1=lam[:, 1], delta=delta,
+                    gamma=gamma, rho=gamma / delta**2, vec0=vecs[..., 0].T,
+                    vec1=vecs[..., 1].T, model=model,
+                    gauge_continuous=bool(np.abs(overlap).min() >= math.sqrt(0.5)))
 
 
 @dataclass(frozen=True)
@@ -188,10 +227,6 @@ class CrossingParams:
     @property
     def omega(self) -> float:
         return self.omega_minus + self.omega_plus
-
-    @property
-    def has_crossing(self) -> bool:
-        return self.kind == "avoided"
 
 
 def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
@@ -267,8 +302,3 @@ def rho_endpoints(trace: GapTrace) -> tuple[float, float]:
     """Signed rho(0), rho(1) under the trace's continuous gauge."""
     return float(trace.rho[0]), float(trace.rho[-1])
 
-
-def adiabatic_time_estimate(trace: GapTrace) -> float:
-    """Folklore adiabatic time: integral of |gamma(s)| / Delta(s)**2."""
-    spl = interpolate.CubicSpline(trace.s, np.abs(trace.gamma) / trace.delta**2)
-    return float(spl.integrate(0.0, 1.0))

@@ -2,9 +2,10 @@
 
 Everything here works in the full (unreduced) space or via generic
 quadrature/finite differences, deliberately sharing no code path with the
-reduced-basis implementations it checks.  The exception is cf4_reference, a
-plain per-exponential loop of the same CF4 scheme that checks the vectorised
-propagator step for step.
+reduced-basis implementations it checks.  The exceptions are cf4_reference,
+a plain per-exponential loop of the same CF4 scheme that checks the vectorised
+propagator step for step, and gap_trace_reference, a per-point gap trace that
+checks the batched one point for point.
 """
 
 import math
@@ -13,7 +14,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from annealosc.models import hamiltonian_at, tridiagonal_bands
+from annealosc.models import dH_ds, hamiltonian_at, tridiagonal_bands
+from annealosc.spectrum import (DegenerateGroundStateError, GapTrace,
+                                _crossing_refine_grid, eigensystem_lowest)
 
 
 def full_qubit_hamiltonians(n, f_of_k):
@@ -85,6 +88,52 @@ def cf4_reference(model, taus, n_substeps, psi0):
             w, v = eigh_tridiagonal(x[:d], x[d:]) if model.tridiagonal else eigh(x)
             psi = v @ (np.exp(-1j * np.outer(w, taus) / n_substeps) * (v.T @ psi))
     return psi
+
+
+def _two_lowest_reference(model, s):
+    if model.tridiagonal:
+        diag, off = tridiagonal_bands(model, s)
+        return eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+    return eigensystem_lowest(hamiltonian_at(model, s), 2)
+
+
+def gap_trace_reference(model, n_points=201, n_refine=160):
+    """gap_trace one point at a time: each H(s) from the model's own band or
+    matrix builder, its two lowest pairs from eigh_tridiagonal or
+    eigensystem_lowest, the gauge fixed point by point against the previous
+    point, gamma from dH_ds per point.  Signs are anchored as in gap_trace:
+    the ground state's largest-magnitude entry positive at s = 0, and
+    gamma(0) >= 0."""
+    grid = np.linspace(0.0, 1.0, n_points)
+    coarse = np.array([np.diff(_two_lowest_reference(model, s)[0])[0] for s in grid])
+    extra = _crossing_refine_grid(grid, coarse, n_refine)
+    grid = np.unique(np.concatenate([grid, extra]))
+    npts = len(grid)
+    lam = np.empty((2, npts))
+    vecs = np.empty((2, model.dim, npts))
+    for i, s in enumerate(grid):
+        vals, v = _two_lowest_reference(model, s)
+        if vals[1] - vals[0] <= 0:
+            raise DegenerateGroundStateError(f"degenerate levels at s={s}")
+        for j in range(2):
+            if i and vecs[j, :, i - 1] @ v[:, j] < 0:
+                v[:, j] = -v[:, j]
+        lam[:, i] = vals
+        vecs[:, :, i] = v.T
+    v0 = vecs[0, :, 0]
+    if v0[np.argmax(np.abs(v0))] < 0:
+        vecs[0] = -vecs[0]
+    gamma = np.array([vecs[0, :, i] @ dH_ds(model, s) @ vecs[1, :, i]
+                      for i, s in enumerate(grid)])
+    if gamma[0] < 0:
+        vecs[1] = -vecs[1]
+        gamma = -gamma
+    delta = lam[1] - lam[0]
+    overlap = np.sum(vecs[:, :, :-1] * vecs[:, :, 1:], axis=1)
+    return GapTrace(s=grid, lambda0=lam[0], lambda1=lam[1], delta=delta,
+                    gamma=gamma, rho=gamma / delta**2, vec0=vecs[0], vec1=vecs[1],
+                    model=model,
+                    gauge_continuous=bool(np.abs(overlap).min() >= math.sqrt(0.5)))
 
 
 def central_difference(f, x, delta=1e-5):

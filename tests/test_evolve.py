@@ -7,7 +7,7 @@ import pytest
 from annealosc import (EvolutionConfig, ModelSpec, build_model,
                        evolve_schrodinger, evolve_two_level, ground_state,
                        tau_sweep, transition_probability)
-from annealosc import evolve
+from annealosc import evolve, spectrum
 from annealosc.cli import main
 from annealosc.evolve import ConvergenceError, _propagate
 from annealosc.models import hamiltonian_at
@@ -182,9 +182,9 @@ def test_eigensolver_branches_agree(monkeypatch):
     model = _barrier(16)
     taus = np.array([25.0, 55.0, 95.0])
     psi0 = ground_state(model, 0.0)
-    monkeypatch.setattr(evolve, "_DENSE_EIGH_MAX_DIM", model.dim)
+    monkeypatch.setattr(spectrum, "_DENSE_EIGH_MAX_DIM", model.dim)
     dense = _propagate(model, taus, 512, psi0)
-    monkeypatch.setattr(evolve, "_DENSE_EIGH_MAX_DIM", model.dim - 1)
+    monkeypatch.setattr(spectrum, "_DENSE_EIGH_MAX_DIM", model.dim - 1)
     banded = _propagate(model, taus, 512, psi0)
     assert np.linalg.norm(dense - banded, axis=0).max() <= 1e-12
 

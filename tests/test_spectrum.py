@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import interpolate, optimize
 from scipy.integrate import quad
 
-from annealosc import (ModelSpec, adiabatic_time_estimate, build_model,
-                       eigensystem_lowest, gap_trace, locate_crossing,
-                       nobarrier_gap, rho_endpoints)
+from annealosc import (ModelSpec, build_model, eigensystem_lowest, gap_trace,
+                       ground_state, locate_crossing, nobarrier_gap,
+                       rho_endpoints)
 from annealosc import spectrum
 from annealosc.models import dH_ds, hamiltonian_at
 from annealosc.spectrum import DegenerateGroundStateError, gamma_at, gap_at
 
-from oracles import full_qubit_hamiltonians, symmetric_sector_eigenvalues
+from oracles import (full_qubit_hamiltonians, gap_trace_reference,
+                     symmetric_sector_eigenvalues)
 
 # analytic antiderivative of sqrt(1 - 2s + 2s^2): with u = s - 1/2,
 # int sqrt(2u^2 + 1/2) du = (u/2) sqrt(2u^2 + 1/2)
@@ -212,6 +213,12 @@ def test_rho_endpoints_grover_symmetric(grover64):
     assert rho0 == pytest.approx(rho1, rel=1e-8)
 
 
+def adiabatic_time_estimate(trace):
+    """Folklore adiabatic time: integral of |gamma(s)| / Delta(s)**2."""
+    spl = interpolate.CubicSpline(trace.s, np.abs(trace.gamma) / trace.delta**2)
+    return float(spl.integrate(0.0, 1.0))
+
+
 def test_adiabatic_time_estimate_nobarrier(nobarrier1_trace):
     # closed form: int mu/(2 Delta^3) ds = 1 exactly at mu = 1
     oracle, _ = quad(lambda s: 0.5 * (1 - 2 * s + 2 * s**2) ** -1.5, 0, 1,
@@ -281,3 +288,60 @@ def test_gap_at_matches_trace(barrier84, barrier84_trace):
     s = barrier84_trace.s[i]
     assert gap_at(barrier84, s) == pytest.approx(barrier84_trace.delta[i],
                                                  abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    dict(kind="barrier", n=24, mu=1.0, alpha=0.3, beta=0.5),  # batched eigh
+    dict(kind="barrier", n=40, mu=1.0, alpha=0.3, beta=0.5),  # eigh_tridiagonal
+    dict(kind="cubic", n=30),
+    dict(kind="grover", big_n=64, big_m=1),  # dense model
+    dict(kind="nobarrier", n=1, mu=1.0),
+], ids=lambda d: f"{d['kind']}{d.get('n') or d.get('big_n')}")
+def test_trace_matches_per_point_reference(spec):
+    model = build_model(ModelSpec(**spec))
+    tr, ref = gap_trace(model), gap_trace_reference(model)
+    assert np.array_equal(tr.s, ref.s)
+    for name in ("lambda0", "lambda1", "delta"):
+        assert np.abs(getattr(tr, name) - getattr(ref, name)).max() <= 1e-13, name
+    for name, rel in (("gamma", 1e-12), ("rho", 1e-11)):
+        want = getattr(ref, name)
+        assert np.abs(getattr(tr, name) - want).max() <= rel * np.abs(want).max(), name
+    for name in ("vec0", "vec1"):
+        assert np.abs(getattr(tr, name) - getattr(ref, name)).max() <= 1e-12, name
+    assert tr.gauge_continuous == ref.gauge_continuous
+    cr, want = locate_crossing(tr), locate_crossing(ref)
+    assert cr.kind == want.kind
+    for name in ("s_star", "g", "omega_minus", "omega_plus"):
+        assert getattr(cr, name) == pytest.approx(getattr(want, name), abs=1e-9,
+                                                  nan_ok=True), name
+
+
+def test_trace_signs_do_not_depend_on_eigensolver(monkeypatch):
+    model = build_model(ModelSpec(kind="barrier", n=16, mu=1.0, alpha=0.3, beta=0.5))
+    monkeypatch.setattr(spectrum, "_DENSE_EIGH_MAX_DIM", model.dim)
+    dense = gap_trace(model)
+    monkeypatch.setattr(spectrum, "_DENSE_EIGH_MAX_DIM", model.dim - 1)
+    banded = gap_trace(model)
+    assert np.array_equal(dense.s, banded.s)
+    for name in ("lambda0", "lambda1", "delta", "gamma", "rho", "vec0", "vec1"):
+        assert np.abs(getattr(dense, name) - getattr(banded, name)).max() <= 1e-12, name
+    assert dense.gamma[0] >= 0 and banded.gamma[0] >= 0
+
+
+def test_gauge_continuity_flag():
+    # a 64-point grid turns the ground state by up to 82 degrees per cell
+    # near the 0-1 crossing (min |overlap| 0.14); the default refined grid
+    # resolves it (0.999) but not the 1-2 crossing near s = 0.45, where the
+    # first excited state turns by 76 degrees (0.24); 801 points resolve both
+    model = build_model(ModelSpec(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8))
+    assert not gap_trace(model, n_points=64, refine=False).gauge_continuous
+    assert not gap_trace(model).gauge_continuous
+    assert gap_trace(model, n_points=801).gauge_continuous
+
+
+def test_scalar_spectrum_validates_s(barrier84, grover64):
+    for model in (barrier84, grover64):
+        with pytest.raises(ValueError):
+            gap_at(model, 1.5)
+        with pytest.raises(ValueError):
+            ground_state(model, -0.1)
