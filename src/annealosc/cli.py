@@ -43,6 +43,8 @@ class TauGrid:
     spacing: str = "linear"
 
     def __post_init__(self):
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError("tau min and max must be finite")
         if self.min <= 0:
             raise ValueError("tau min must be positive")
         if self.count < 1:
@@ -426,12 +428,14 @@ def main(argv: list[str] | None = None) -> int:
             run_reproduce_figure(cfg, out, threads)
         else:
             _dispatch(cfg, out)
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (ConvergenceError, DegenerateGroundStateError, RuntimeError,
+            np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, DegenerateGroundStateError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -18,8 +18,9 @@ nodes of a level in one call, and the level is worked through in chunks of
 consecutive exponentials whose workspace is capped:
 
 - the chunk's matrices h0 + g_eff (h1 - h0) are eigendecomposed by
-  spectrum's `_eigs`, the package's one eigensolver (one batched dense eigh,
-  or eigh_tridiagonal per matrix for tridiagonal models above dimension 32);
+  spectrum's `_eigs`, the package's one eigensolver (for these full spectra,
+  one batched dense eigh, or eigh_tridiagonal per matrix for tridiagonal
+  models above dimension 32);
 - the phases exp(-i tau w / n) of the whole chunk are formed for every tau
   at once;
 - up to dimension 8 the chunk's exponentials are multiplied into one
@@ -55,8 +56,8 @@ class EvolutionConfig:
     initial_steps: int = 256
 
     def __post_init__(self):
-        if self.step_tolerance <= 0:
-            raise ValueError("step_tolerance must be positive")
+        if not 0 < self.step_tolerance < math.inf:
+            raise ValueError("step_tolerance must be positive and finite")
         if self.max_steps < 2:
             raise ValueError("max_steps must be at least 2")
         # a level of n substeps is n/2 CF4 steps of two exponentials each
@@ -74,6 +75,8 @@ class SweepResult:
     config: EvolutionConfig
 
     def __post_init__(self):
+        if not (np.isfinite(self.taus).all() and np.isfinite(self.probs).all()):
+            raise ValueError("taus and probabilities must be finite")
         if np.any(np.diff(self.taus) <= 0):
             raise ValueError("taus must strictly increase")
         if np.any((self.probs < 0) | (self.probs > 1)):
@@ -206,8 +209,8 @@ def _evolve_batch(model, taus, cfg):
 def evolve_schrodinger(model: ReducedHamiltonian, tau: float,
                        cfg: EvolutionConfig = EvolutionConfig()) -> np.ndarray:
     """Final state at s=1 starting from the s=0 ground state."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     psi = _evolve_batch(model, np.array([tau]), cfg)[:, 0]
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ConvergenceError("final state norm deviates by more than 1e-10")
@@ -230,8 +233,8 @@ def tau_sweep(model: ReducedHamiltonian, taus: np.ndarray,
               cfg: EvolutionConfig = EvolutionConfig()) -> SweepResult:
     """Leakage probability P(tau) for every tau, order-aligned with taus."""
     taus = np.asarray(taus, float)
-    if np.any(taus <= 0):
-        raise ValueError("all taus must be positive")
+    if not np.all((taus > 0) & (taus < math.inf)):
+        raise ValueError("all taus must be positive and finite")
     if np.any(np.diff(taus) <= 0):
         raise ValueError("taus must strictly increase")
     probs = _leakage(ground_state(model, 1.0), _evolve_batch(model, taus, cfg))

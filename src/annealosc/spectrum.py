@@ -3,9 +3,17 @@
 Conventions: Delta(s) = lambda1 - lambda0 > 0, gamma(s) = <phi0|dH/ds|phi1>
 with a sign-continuous eigenvector gauge, and rho(s) = gamma(s)/Delta(s)**2.
 
-`_eigs` is the package's one eigensolver (batched dense eigh, or
-eigh_tridiagonal per matrix for tridiagonal models above dimension 32):
-`gap_trace`, the scalar helpers and evolve's propagator all call it.
+`_eigs` is the package's one eigensolver: `gap_trace`, the scalar helpers and
+evolve's propagator all call it.  It has three cases:
+
+- the lowest levels of a tridiagonal model, at any dimension, by LAPACK
+  bisection and inverse iteration (dstebz/dstein) per matrix;
+- all levels of a tridiagonal model above dimension 32 by eigh_tridiagonal
+  per matrix;
+- all other decompositions (dense models, full spectra up to dimension 32)
+  by batched dense eigh.
+
+Every lowest pair it returns is residual-checked.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, interpolate, optimize
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs
 
 from .models import ReducedHamiltonian, dH_ds
 # unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 3
@@ -41,9 +49,10 @@ def eigensystem_lowest(h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-# Tridiagonal models up to this dimension are eigendecomposed by batched dense
-# np.linalg.eigh, larger ones by eigh_tridiagonal per matrix.  Microseconds
-# per matrix, stacks of 128 (2 vCPUs, one BLAS thread; ranges are two runs):
+# Full spectra (evolve's exponentials) of tridiagonal models up to this
+# dimension are computed by batched dense np.linalg.eigh, larger ones by
+# eigh_tridiagonal per matrix.  Microseconds per matrix, stacks of 128 (2 vCPUs,
+# one BLAS thread; ranges are two runs):
 #   d                   13   17   29   31      33   41        85
 #   batched eigh        19   34   58   65-92   96   138-202   860
 #   eigh_tridiagonal    41   56   67   74-112  81   170-176   504
@@ -52,23 +61,81 @@ _DENSE_EIGH_MAX_DIM = 32
 # a flat peak resident set at a negligible per-batch Python overhead.
 _WORKSPACE_BYTES = 1 << 20
 
+# The lowest pairs of a tridiagonal model at any dimension come from LAPACK's
+# bisection (dstebz) and inverse iteration (dstein), called directly: scipy's
+# eigh_tridiagonal runs the same two routines behind argument validation that
+# costs about as much as they do at these sizes.  Microseconds per matrix for
+# the lowest 2 pairs, residual check included, stacks of 128 (2 vCPUs, one
+# BLAS thread; ranges are two runs):
+#   d                              17   25      41        65
+#   _lowest_tridiagonal            18   28-34   41-42     69-77
+#   batched eigh (all d pairs)     26   58-80   154-168   427-439
+#   eigh_tridiagonal, select "i"   46   60      66-72     91-118
+_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+
+
+def _lowest_tridiagonal(diag: np.ndarray, off: np.ndarray, m: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest m eigenvalues (k, m) and eigenvectors (k, d, m), ascending, of
+    the k symmetric tridiagonal matrices with diagonals diag (k, d) and
+    off-diagonals off (k, d - 1); each pair checked to
+    ||Hv - lv|| <= 1e-10 max(max|l|, 1)."""
+    k, d = diag.shape
+    w, v = np.empty((k, m)), np.empty((k, d, m))
+    for i in range(k):
+        # range 2 = by index (il..iu, 1-based), abstol 0 (LAPACK's default);
+        # order "B" (by split-off block) is the order dstein takes
+        found, wi, iblock, isplit, info = _STEBZ(diag[i], off[i], 2, 0.0, 0.0,
+                                                 1, m, 0.0, "B")
+        if info == 0 and found == m:
+            vi, info = _STEIN(diag[i], off[i], wi[:m], iblock, isplit)
+        if info or found != m:
+            raise np.linalg.LinAlgError(
+                f"tridiagonal eigensolver failed (info {info}, {found} of {m} pairs)")
+        w[i], v[i] = wi[:m], vi
+        # a zero off-diagonal (h1 of a qubit model is diagonal) splits the
+        # matrix into blocks, and block order need not be ascending
+        if isplit[0] < d:
+            order = np.argsort(w[i])
+            w[i], v[i] = w[i, order], v[i][:, order]
+    r = (diag[..., None] - w[:, None, :]) * v  # Hv - lv, band by band
+    r[:, :-1] += off[..., None] * v[:, 1:]
+    r[:, 1:] += off[..., None] * v[:, :-1]
+    resid = np.sqrt(np.einsum("kim,kim->km", r, r))
+    if not (resid <= 1e-10 * np.maximum(np.abs(w).max(axis=1, keepdims=True), 1.0)).all():
+        raise RuntimeError(f"eigensolver residual too large: {np.nanmax(resid):.3e}")
+    return w, v
+
 
 def _eigs(model: ReducedHamiltonian, g, lowest: int | None = None
           ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (k, m) and eigenvectors (k, d, m) of H = h0 + g (h1 - h0)
     at the k schedule values g, ascending: all d levels, or the `lowest` m.
-    The dense branch checks those to ||Hv - lv|| <= 1e-10 max(||H||, 1)."""
+
+    - lowest m of a tridiagonal model: `_lowest_tridiagonal`, at any dimension;
+    - all levels of a tridiagonal model above _DENSE_EIGH_MAX_DIM:
+      eigh_tridiagonal per matrix;
+    - otherwise (dense models, smaller tridiagonal full spectra): batched
+      dense eigh, in batches whose stacks fit in _WORKSPACE_BYTES.
+
+    Every lowest-m pair is checked to ||Hv - lv|| <= 1e-10 max(max|l|, 1).
+    """
     g = np.asarray(g, float)
+    if not np.isfinite(g).all():
+        raise ValueError("schedule values must be finite")
     d, m = model.dim, lowest or model.dim
-    h0, dh = model.h0, model.h1 - model.h0
-    w, v = np.empty((len(g), m)), np.empty((len(g), d, m))
-    if model.tridiagonal and d > _DENSE_EIGH_MAX_DIM:
-        diag = h0.diagonal() + g[:, None] * dh.diagonal()
-        off = h0.diagonal(1) + g[:, None] * dh.diagonal(1)
-        opts = {} if lowest is None else {"select": "i", "select_range": (0, m - 1)}
+    h0, h1 = model.h0, model.h1
+    if model.tridiagonal and (lowest is not None or d > _DENSE_EIGH_MAX_DIM):
+        diag = h0.diagonal() + g[:, None] * (h1.diagonal() - h0.diagonal())
+        off = h0.diagonal(1) + g[:, None] * (h1.diagonal(1) - h0.diagonal(1))
+        if lowest is not None:
+            return _lowest_tridiagonal(diag, off, m)
+        w, v = np.empty((len(g), d)), np.empty((len(g), d, d))
         for k in range(len(g)):
-            w[k], v[k] = eigh_tridiagonal(diag[k], off[k], **opts)
+            w[k], v[k] = eigh_tridiagonal(diag[k], off[k])
         return w, v
+    dh = h1 - h0
+    w, v = np.empty((len(g), m)), np.empty((len(g), d, m))
     batch = max(1, _WORKSPACE_BYTES // (16 * d * d))  # matrix and vector stacks
     for i in range(0, len(g), batch):
         h = h0 + g[i:i + batch, None, None] * dh
@@ -111,8 +178,9 @@ class GapTrace:
     state's largest-magnitude entry (as in `ground_state`) and gamma are not
     negative, whatever the eigensolver.  gauge_continuous is False when an
     |overlap| is below 1/sqrt(2) (over 45 degrees of turn in one cell): the
-    grid is too coarse to trust the signs.  The vectors are kept (dim x
-    npoints per level) for cross checks and endpoint gauges.
+    grid is too coarse to trust the signs, and `coupling_spline` refuses the
+    trace.  The vectors are kept (dim x npoints per level) for cross checks
+    and endpoint gauges.
     """
 
     s: np.ndarray
@@ -139,7 +207,13 @@ class GapTrace:
         return interpolate.CubicSpline(self.s, self.delta)
 
     def coupling_spline(self):
-        """Cubic spline of gamma(s)/Delta(s)."""
+        """Cubic spline of gamma(s)/Delta(s); refused when the gauge is not
+        continuous, since gamma's sign may then flip between grid points."""
+        if not self.gauge_continuous:
+            raise ValueError(
+                "eigenvector gauge not continuous on this grid (an eigenvector "
+                "turns over 45 degrees in one cell): gamma's sign is not "
+                "trustworthy; trace with more n_points")
         return interpolate.CubicSpline(self.s, self.gamma / self.delta)
 
 

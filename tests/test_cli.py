@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from annealosc import cli
+from annealosc import cli, spectrum
 from annealosc.cli import (ExperimentConfig, TauGrid, _figure_configs, _recipe,
                            config_hash, main)
 
@@ -32,6 +32,21 @@ def test_tau_grid_values_and_validation():
         TauGrid(min=10.0, max=5.0, count=5)
     with pytest.raises(ValueError):
         TauGrid(min=1.0, max=2.0, count=5, spacing="cubic")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TauGrid(min=bad, max=10.0, count=5)
+        with pytest.raises(ValueError):
+            TauGrid(min=1.0, max=bad, count=5)
+
+
+@pytest.mark.parametrize("field", [{"tau_grid": {"min": math.nan, "max": 40.0, "count": 3}},
+                                   {"evolution": {"step_tolerance": math.nan}}])
+def test_non_finite_config_values_exit_1(tmp_path, field):
+    # json reads NaN and Infinity, which pass every comparison-only check
+    payload = {"mode": "sweep", "model": NOBARRIER,
+               "tau_grid": {"min": 20.0, "max": 40.0, "count": 3}, **field}
+    cfg = _write_config(tmp_path, payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
 def test_config_from_dict_rejects_unknown_fields():
@@ -125,6 +140,16 @@ def test_sweep_numerical_failure_exit_code(tmp_path):
                              "initial_steps": 16}}
     cfg = _write_config(tmp_path, payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a numerical failure, although LinAlgError subclasses ValueError (exit 1)
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    monkeypatch.setattr(spectrum, "_eigs", fail)
+    cfg = _write_config(tmp_path, {"mode": "gap", "model": NOBARRIER})
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_predict_mode_large_gap(tmp_path):

@@ -9,8 +9,9 @@ from annealosc import (EvolutionConfig, ModelSpec, build_model,
                        tau_sweep, transition_probability)
 from annealosc import evolve, spectrum
 from annealosc.cli import main
-from annealosc.evolve import ConvergenceError, _propagate
+from annealosc.evolve import ConvergenceError, SweepResult, _propagate
 from annealosc.models import hamiltonian_at
+from annealosc.predict import amplitude_integral
 from annealosc.spectrum import gap_trace
 
 from oracles import cf4_reference, integrate_schrodinger_full
@@ -37,10 +38,9 @@ def test_unitarity(nobarrier1, grover64):
 
 
 def test_rejects_bad_tau(nobarrier1):
-    with pytest.raises(ValueError):
-        evolve_schrodinger(nobarrier1, 0.0)
-    with pytest.raises(ValueError):
-        evolve_schrodinger(nobarrier1, -1.0)
+    for tau in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            evolve_schrodinger(nobarrier1, tau)
 
 
 def test_n1_against_large_gap_formula(nobarrier1):
@@ -131,6 +131,18 @@ def test_sweep_validates_taus(nobarrier1):
         tau_sweep(nobarrier1, np.array([10.0, 5.0]))
     with pytest.raises(ValueError):
         tau_sweep(nobarrier1, np.array([-1.0, 5.0]))
+    # a NaN or inf tau would otherwise run every doubling level to max_steps
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            tau_sweep(nobarrier1, np.array([5.0, bad]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sweep_result_rejects_non_finite(bad):
+    good = np.array([1.0, 2.0])
+    for taus, probs in ((np.array([1.0, bad]), good / 4), (good, np.array([0.1, bad]))):
+        with pytest.raises(ValueError):
+            SweepResult(taus=taus, probs=probs, model_label="", config=EvolutionConfig())
 
 
 def test_sweep_decay_bound(nobarrier1, nobarrier1_trace):
@@ -201,6 +213,12 @@ def test_bad_initial_steps_rejected(initial_steps):
         EvolutionConfig(initial_steps=initial_steps, max_steps=64)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_bad_step_tolerance_rejected(tol):
+    with pytest.raises(ValueError):
+        EvolutionConfig(step_tolerance=tol)
+
+
 @pytest.mark.parametrize("evolution", [{"initial_steps": 0}, {"initial_steps": -4},
                                        {"method": "exponential-midpoint"}])
 def test_bad_evolution_config_cli_exit_code(tmp_path, evolution):
@@ -239,6 +257,18 @@ def test_two_level_decoupled_stays_put(nobarrier1_trace):
     amp = evolve_two_level(tr, 30.0)
     assert abs(amp.c1) < 1e-12
     assert abs(amp.c0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_two_level_refuses_discontinuous_gauge():
+    # the default grid leaves the 1-2 crossing near s = 0.45 unresolved
+    # (test_gauge_continuity_flag), so gamma's sign there is not trustworthy
+    model = build_model(ModelSpec(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8))
+    coarse, fine = gap_trace(model), gap_trace(model, n_points=801)
+    for integrate in (evolve_two_level, amplitude_integral):
+        with pytest.raises(ValueError, match="n_points"):
+            integrate(coarse, 10.0)
+    assert 0.0 <= evolve_two_level(fine, 10.0).p_leak <= 1.0
+    assert math.isfinite(abs(amplitude_integral(fine, 10.0)))
 
 
 def test_two_level_large_tau_matches_formula(nobarrier1_trace):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from annealosc import (ModelSpec, build_model, eigensystem_lowest, gap_trace,
                        ground_state, locate_crossing, nobarrier_gap,
                        rho_endpoints)
 from annealosc import spectrum
-from annealosc.models import dH_ds, hamiltonian_at
+from annealosc.models import ReducedHamiltonian, dH_ds, hamiltonian_at
 from annealosc.spectrum import DegenerateGroundStateError, gamma_at, gap_at
 
 from oracles import (full_qubit_hamiltonians, gap_trace_reference,
@@ -144,8 +145,8 @@ def test_refined_trace_decomposes_each_point_once(monkeypatch):
     model = build_model(ModelSpec(kind="barrier", n=40, mu=1.0,
                                   alpha=0.3, beta=0.5))
     calls = []
-    real = spectrum.eigh_tridiagonal
-    monkeypatch.setattr(spectrum, "eigh_tridiagonal",
+    real = spectrum._STEBZ
+    monkeypatch.setattr(spectrum, "_STEBZ",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     trace = gap_trace(model)
     assert len(calls) == len(trace.s) > 201
@@ -316,12 +317,12 @@ def test_trace_matches_per_point_reference(spec):
                                                   nan_ok=True), name
 
 
-def test_trace_signs_do_not_depend_on_eigensolver(monkeypatch):
+def test_trace_signs_do_not_depend_on_eigensolver():
+    # the same matrices, marked dense, go through batched eigh instead of
+    # the tridiagonal kernel
     model = build_model(ModelSpec(kind="barrier", n=16, mu=1.0, alpha=0.3, beta=0.5))
-    monkeypatch.setattr(spectrum, "_DENSE_EIGH_MAX_DIM", model.dim)
-    dense = gap_trace(model)
-    monkeypatch.setattr(spectrum, "_DENSE_EIGH_MAX_DIM", model.dim - 1)
     banded = gap_trace(model)
+    dense = gap_trace(dataclasses.replace(model, tridiagonal=False))
     assert np.array_equal(dense.s, banded.s)
     for name in ("lambda0", "lambda1", "delta", "gamma", "rho", "vec0", "vec1"):
         assert np.abs(getattr(dense, name) - getattr(banded, name)).max() <= 1e-12, name
@@ -345,3 +346,71 @@ def test_scalar_spectrum_validates_s(barrier84, grover64):
             gap_at(model, 1.5)
         with pytest.raises(ValueError):
             ground_state(model, -0.1)
+
+
+# ------------------------------------------------ lowest-pair tridiagonal kernel
+
+def _split_end_model():
+    # h1 is diagonal, as for every qubit model: at s = 1 each off-diagonal is
+    # exactly 0, dstebz splits the matrix into 1x1 blocks and returns the two
+    # lowest values in block order, [1, 0]
+    off = np.array([0.5, 0.4, 0.3])
+    return ReducedHamiltonian(
+        dim=4, h0=np.diag(off, 1) + np.diag(off, -1), h1=np.diag([3.0, 1.0, 2.0, 0.0]),
+        schedule=lambda s: s, schedule_deriv=lambda s: np.ones_like(s),
+        tridiagonal=True, label="split")
+
+
+def _assert_lowest_pairs_match_dense(model, g, w, v):
+    for k, gk in enumerate(g):
+        want_w, want_v = np.linalg.eigh(model.h0 + gk * (model.h1 - model.h0))
+        assert np.abs(w[k] - want_w[:2]).max() <= 1e-13
+        signs = np.sign(np.einsum("im,im->m", v[k], want_v[:, :2]))
+        assert np.abs(v[k] * signs - want_v[:, :2]).max() <= 1e-12
+
+
+def test_lowest_pairs_ascending_on_split_matrix():
+    model = _split_end_model()
+    w, v = spectrum._eigs(model, [1.0], 2)
+    assert w[0].tolist() == [0.0, 1.0]
+    _assert_lowest_pairs_match_dense(model, [1.0], w, v)
+    assert ground_state(model, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("spec", [
+    dict(kind="barrier", n=40, mu=1.0, alpha=0.3, beta=0.5),
+    dict(kind="cubic", n=30),
+    dict(kind="nobarrier", n=24, mu=1.0),
+], ids=lambda d: f"{d['kind']}{d['n']}")
+def test_lowest_pairs_match_dense_eigh(spec):
+    model = build_model(ModelSpec(**spec))
+    s = np.concatenate([[0.0, 1.0], np.random.default_rng(5).uniform(0, 1, 8)])
+    g = model.schedule(s)
+    w, v = spectrum._eigs(model, g, 2)
+    _assert_lowest_pairs_match_dense(model, g, w, v)
+
+
+def test_lowest_pairs_residual_checked(monkeypatch, barrier84):
+    real = spectrum._STEIN
+
+    def perturbed(*args):
+        z, info = real(*args)
+        z[0, 1] += 1e-6
+        return z, info
+    monkeypatch.setattr(spectrum, "_STEIN", perturbed)
+    with pytest.raises(RuntimeError, match="residual"):
+        gap_at(barrier84, 0.3)
+
+
+@pytest.mark.parametrize("routine", ["_STEBZ", "_STEIN"])
+def test_lowest_pairs_lapack_failure_raises(monkeypatch, barrier84, routine):
+    real = getattr(spectrum, routine)
+    monkeypatch.setattr(spectrum, routine,
+                        lambda *args: (*real(*args)[:-1], 1))  # info = 1
+    with pytest.raises(np.linalg.LinAlgError):
+        gap_at(barrier84, 0.3)
+
+
+def test_eigs_rejects_non_finite_schedule(barrier84):
+    with pytest.raises(ValueError, match="finite"):
+        spectrum._eigs(barrier84, [0.5, math.nan], 2)
