@@ -79,6 +79,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.model is None and self.mode != "reproduce-figure":
             raise ValueError(f"{self.mode} mode requires a model")
+        extra = set(self.prediction) - {"A", "v", "m"}
+        if extra:
+            raise ValueError(f"unknown prediction fields: {sorted(extra)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

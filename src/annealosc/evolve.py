@@ -23,10 +23,9 @@ consecutive exponentials whose workspace is capped:
   models above dimension 32);
 - the phases exp(-i tau w / n) of the whole chunk are formed for every tau
   at once;
-- up to dimension 8 the chunk's exponentials are multiplied into one
-  propagator per tau by a balanced tree; above it they act on the state in
-  turn, each as two real matrix products on the float view of the complex
-  state (the eigenvectors are real) around the phase multiplication.
+- the chunk's exponentials act on the state in turn, each as two real matrix
+  products on the float view of the complex state (the eigenvectors are
+  real) around the phase multiplication.
 """
 
 from __future__ import annotations
@@ -116,10 +115,6 @@ _NODE_OFFSETS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _A1, _A2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_WEIGHTS = 2.0 * np.array([[_A2, _A1], [_A1, _A2]])
 
-# Up to this dimension the exponentials of a chunk are multiplied into one
-# propagator per tau by a balanced tree; above it they act on the state in turn.
-_TREE_MAX_DIM = 8
-
 
 def _cf4_nodes(n_substeps: int) -> np.ndarray:
     """Gauss nodes of the n_substeps/2 CF4 steps, shape (steps, 2), in
@@ -128,38 +123,10 @@ def _cf4_nodes(n_substeps: int) -> np.ndarray:
     return (np.arange(n_substeps // 2)[:, None] + _NODE_OFFSETS) * h
 
 
-def _tree_apply(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Multiply the chunk's exponentials pairwise (a balanced tree) into one
-    propagator per tau and apply it, so the Python-level work grows like
-    log(chunk) instead of chunk."""
-    u = (v[None] * phases.transpose(2, 0, 1)[..., None, :]) @ v.transpose(0, 2, 1)[None]
-    # fold pairs right-to-left so earlier exponentials act first
-    while u.shape[1] > 1:
-        even = (u.shape[1] // 2) * 2
-        prod = u[:, 1:even:2] @ u[:, 0:even:2]
-        if u.shape[1] % 2:
-            prod = np.concatenate([prod, u[:, -1:]], axis=1)
-        u = prod
-    return (u[:, 0] @ psi.T[..., None])[..., 0].T
-
-
-def _sequential_apply(v: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply the chunk's exponentials one at a time.  The eigenvectors are
-    real, so the two basis changes are real GEMMs on the float view of the
-    complex state: half the flops of promoting v to complex."""
-    vt = v.transpose(0, 2, 1)
-    for k in range(len(v)):
-        x = (vt[k] @ psi.view(float)).view(complex)
-        x *= phases[k]
-        psi = (v[k] @ x.view(float)).view(complex)
-    return psi
-
-
 def _chunk_size(dim: int, ntau: int) -> int:
-    """Exponentials per chunk: those whose complex phases (for the tree, d x d
-    propagators) for every tau and real matrix and eigenvector stacks fit in
-    _WORKSPACE_BYTES."""
-    per_exp = 16 * ntau * dim * (dim if dim <= _TREE_MAX_DIM else 1) + 16 * dim * dim
+    """Exponentials per chunk: those whose complex phases for every tau and
+    real matrix and eigenvector stacks fit in _WORKSPACE_BYTES."""
+    per_exp = 16 * ntau * dim + 16 * dim * dim
     return max(2, _WORKSPACE_BYTES // per_exp)
 
 
@@ -169,7 +136,6 @@ def _propagate(model: ReducedHamiltonian, taus: np.ndarray, n_substeps: int,
     exponentials, chunk by chunk (see the module docstring); returns
     dim x ntau."""
     g = (np.asarray(model.schedule(_cf4_nodes(n_substeps)), float) @ _CF4_WEIGHTS.T).ravel()
-    apply = _tree_apply if model.dim <= _TREE_MAX_DIM else _sequential_apply
     chunk = _chunk_size(model.dim, len(taus))
     angle_rate = -np.asarray(taus, float) / n_substeps
     psi = np.tile(psi0.astype(complex)[:, None], (1, len(taus)))
@@ -181,7 +147,13 @@ def _propagate(model: ReducedHamiltonian, taus: np.ndarray, n_substeps: int,
         np.multiply(w[..., None], angle_rate, out=phases.imag)
         np.cos(phases.imag, out=phases.real)
         np.sin(phases.imag, out=phases.imag)
-        psi = apply(v, phases, psi)
+        # the eigenvectors are real, so each exponential's two basis changes
+        # are real GEMMs on the float view of the complex state: half the
+        # flops of promoting v to complex
+        for vk, pk in zip(v, phases):
+            x = (vk.T @ psi.view(float)).view(complex)
+            x *= pk
+            psi = (vk @ x.view(float)).view(complex)
     return psi
 
 
@@ -252,8 +224,8 @@ def evolve_two_level(trace: GapTrace, tau: float, m: int = 1,
     starting from C0=1, C1=0 (ground-state energy shifted to zero, so only
     the gap enters the phase).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     coup = trace.coupling_spline()
     dspl = trace.delta_spline()
 

@@ -49,11 +49,14 @@ class ModelSpec:
         else:
             if self.n is None or self.n < 1:
                 raise ValueError("qubit models require n >= 1")
-            if self.kind in ("barrier", "nobarrier") and self.mu <= 0:
-                raise ValueError("mu must be positive")
+            if self.kind in ("barrier", "nobarrier") and not 0 < self.mu < math.inf:
+                raise ValueError("mu must be positive and finite")
             if self.kind == "barrier":
                 if self.alpha is None or self.beta is None:
                     raise ValueError("barrier model requires alpha and beta")
+                for name in ("alpha", "beta"):
+                    if not math.isfinite(getattr(self, name)):
+                        raise ValueError(f"{name} must be finite")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":

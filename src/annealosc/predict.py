@@ -48,16 +48,24 @@ class SplitParams:
             raise ValueError("omega_minus and omega_plus must be positive")
         if self.g <= 0 or (self.v is not None and not self.v > 0):
             raise ValueError("g and v must be positive")
+        if self.m < 1:
+            raise ValueError("m must be a positive integer")
 
     def with_values(self, **kw) -> "SplitParams":
         return replace(self, **kw)
 
 
+def _taus(tau) -> np.ndarray:
+    """tau as a float array, every value checked positive and finite."""
+    tau = np.asarray(tau, float)
+    if not np.all((tau > 0) & (tau < math.inf)):
+        raise ValueError("tau must be positive and finite")
+    return tau
+
+
 def predict_large_gap(p: LargeGapParams, tau):
     """P(tau) = m [(rho0^2 + rho1^2) - 2 rho0 rho1 cos(omega tau)] / tau^2."""
-    tau = np.asarray(tau, float)
-    if np.any(tau <= 0):
-        raise ValueError("tau must be positive")
+    tau = _taus(tau)
     out = p.m * ((p.rho0**2 + p.rho1**2)
                  - 2.0 * p.rho0 * p.rho1 * np.cos(p.omega * tau)) / tau**2
     return float(out) if out.ndim == 0 else out
@@ -67,9 +75,7 @@ def landau_zener_amplitude(A: float, g: float, v: float, tau):
     """Lambda(tau) = A exp(-pi g^2 tau / (4 v))."""
     if g <= 0 or v <= 0:
         raise ValueError("g and v must be positive")
-    tau = np.asarray(tau, float)
-    if np.any(tau <= 0):
-        raise ValueError("tau must be positive")
+    tau = _taus(tau)
     out = A * np.exp(-math.pi * g**2 * tau / (4.0 * v))
     return float(out) if out.ndim == 0 else out
 
@@ -83,9 +89,7 @@ def predict_split(p: SplitParams, tau):
     """
     if p.A is None:
         raise ValueError("SplitParams.A is unset")
-    tau = np.asarray(tau, float)
-    if np.any(tau <= 0):
-        raise ValueError("tau must be positive")
+    tau = _taus(tau)
     lam = landau_zener_amplitude(p.A, p.g, p.v, tau)
     out = p.m * (
         lam**2
@@ -125,8 +129,8 @@ def amplitude_integral(trace: GapTrace, tau: float, oversample: float = 12.0) ->
     spline antiderivative, then each subinterval is integrated analytically
     with linear amplitude and linear phase, so accuracy is uniform in tau.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     dspl = trace.delta_spline()
     coup = trace.coupling_spline()
     phase_to_one = dspl.antiderivative()
@@ -199,9 +203,7 @@ def grover_gamma(big_n: int, big_m: int, s):
 def predict_grover(big_n: int, big_m: int, tau):
     """Leading-order leakage P = (4 rho^2 / tau^2) sin^2(omega tau / 2), with
     rho = gamma(0) / Delta(0)^2 and Delta(0) = 1."""
-    tau = np.asarray(tau, float)
-    if np.any(tau <= 0):
-        raise ValueError("tau must be positive")
+    tau = _taus(tau)
     rho = grover_gamma(big_n, big_m, 0.0)
     omega = grover_omega(big_n, big_m)
     out = (4.0 * rho**2 / tau**2) * np.sin(omega * tau / 2.0) ** 2

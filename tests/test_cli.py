@@ -49,6 +49,28 @@ def test_non_finite_config_values_exit_1(tmp_path, field):
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("name, value", [("mu", math.nan), ("mu", math.inf),
+                                         ("alpha", math.nan), ("beta", math.inf)])
+def test_non_finite_model_values_exit_1(tmp_path, capsys, name, value):
+    model = {"kind": "barrier", "n": 16, "mu": 1.0, "alpha": 0.3, "beta": 0.5,
+             name: value}
+    cfg = _write_config(tmp_path, {"mode": "gap", "model": model})
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert f"error: {name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prediction", [{"A": 0.5, "m": 0},
+                                        {"A": 0.5, "V": 3}])
+def test_bad_prediction_overrides_exit_1(tmp_path, prediction):
+    payload = {"mode": "predict", "prediction": prediction,
+               "model": {"kind": "barrier", "n": 16, "mu": 1.0,
+                         "alpha": 0.3, "beta": 0.5},
+               "tau_grid": {"min": 20.0, "max": 60.0, "count": 5}}
+    cfg = _write_config(tmp_path, payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "prediction.csv").exists()
+
+
 def test_config_from_dict_rejects_unknown_fields():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"mode": "gap", "model": NOBARRIER,

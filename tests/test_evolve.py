@@ -172,7 +172,7 @@ def _barrier(n):
 
 
 @pytest.mark.parametrize("case, n_substeps", [
-    ("grover64", 8192),    # tree-product apply
+    ("grover64", 8192),    # d = 2
     ("barrier12", 1024),   # batched dense eigh, sequential real-GEMM apply
     ("barrier16", 1024),
     ("barrier84", 250),    # eigh_tridiagonal per matrix

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -166,6 +167,39 @@ def test_split_validation():
         _split().with_values(g=-0.1)
     with pytest.raises(ValueError):
         _split().with_values(omega_minus=0.0)
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            _split(m=m)
+
+
+@pytest.fixture
+def ten_second_alarm():
+    """Turn a call that would hang into a test failure after 10 s."""
+    def _timeout(signum, frame):
+        raise TimeoutError("call did not return within 10 s")
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["evolve_two_level", "amplitude_integral",
+                                   "predict_large_gap", "predict_split",
+                                   "landau_zener_amplitude", "predict_grover"])
+def test_non_finite_tau_rejected(nobarrier1_trace, ten_second_alarm, entry, tau):
+    calls = {
+        "evolve_two_level": lambda: evolve_two_level(nobarrier1_trace, tau),
+        "amplitude_integral": lambda: amplitude_integral(nobarrier1_trace, tau),
+        "predict_large_gap": lambda: predict_large_gap(
+            LargeGapParams(rho0=0.5, rho1=0.5, omega=1.0), tau),
+        "predict_split": lambda: predict_split(_split(), tau),
+        "landau_zener_amplitude": lambda: landau_zener_amplitude(1.0, 0.3, 1.0, tau),
+        "predict_grover": lambda: predict_grover(64, 1, tau),
+    }
+    with pytest.raises(ValueError, match="positive and finite"):
+        calls[entry]()
 
 
 # ------------------------------------------------------------------ grover
