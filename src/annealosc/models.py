@@ -239,12 +239,6 @@ def hamiltonian_at(model: ReducedHamiltonian, s: float) -> np.ndarray:
     return (1.0 - g) * model.h0 + g * model.h1
 
 
-def dH_ds(model: ReducedHamiltonian, s: float) -> np.ndarray:
-    """Exact derivative g'(s) (h1 - h0)."""
-    _check_s(s)
-    return model.schedule_deriv(s) * (model.h1 - model.h0)
-
-
 def tridiagonal_bands(model: ReducedHamiltonian, s: float) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal, off-diagonal) of H(s) for tridiagonal (qubit) models."""
     if not model.tridiagonal:

@@ -76,8 +76,31 @@ def landau_zener_amplitude(A: float, g: float, v: float, tau):
     if g <= 0 or v <= 0:
         raise ValueError("g and v must be positive")
     tau = _taus(tau)
-    out = A * np.exp(-math.pi * g**2 * tau / (4.0 * v))
+    out = A * _lz_decay(g, v, tau)
     return float(out) if out.ndim == 0 else out
+
+
+def _lz_decay(g: float, v, tau: np.ndarray) -> np.ndarray:
+    """e = exp(-pi g^2 tau / (4 v)), the only factor of the split ansatz that
+    depends on v; v and tau broadcast (an array v[:, None] gives one row of e
+    per v, each row bitwise equal to the scalar-v result)."""
+    return np.exp(-math.pi * g**2 * tau / (4.0 * v))
+
+
+def _split_terms(p: SplitParams, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, t, b), the terms of the split ansatz that depend on neither A nor v:
+
+        P/m = Lambda^2 + a + (2 Lambda / tau) t - b,  Lambda = A _lz_decay(g, v, tau),
+        a = (rho0^2 + rho1^2) / tau^2,
+        t = rho0 sin(w- tau) + rho1 sin(w+ tau),
+        b = (2 rho0 rho1 / tau^2) cos((w- + w+) tau),
+
+    summed by predict_split in that order.
+    """
+    a = (p.rho0**2 + p.rho1**2) / tau**2
+    t = p.rho0 * np.sin(p.omega_minus * tau) + p.rho1 * np.sin(p.omega_plus * tau)
+    b = (2.0 * p.rho0 * p.rho1 / tau**2) * np.cos((p.omega_plus + p.omega_minus) * tau)
+    return a, t, b
 
 
 def predict_split(p: SplitParams, tau):
@@ -91,13 +114,8 @@ def predict_split(p: SplitParams, tau):
         raise ValueError("SplitParams.A is unset")
     tau = _taus(tau)
     lam = landau_zener_amplitude(p.A, p.g, p.v, tau)
-    out = p.m * (
-        lam**2
-        + (p.rho0**2 + p.rho1**2) / tau**2
-        + (2.0 * lam / tau) * (p.rho0 * np.sin(p.omega_minus * tau)
-                               + p.rho1 * np.sin(p.omega_plus * tau))
-        - (2.0 * p.rho0 * p.rho1 / tau**2) * np.cos((p.omega_plus + p.omega_minus) * tau)
-    )
+    a, t, b = _split_terms(p, tau)
+    out = p.m * (lam**2 + a + (2.0 * lam / tau) * t - b)
     return float(out) if out.ndim == 0 else out
 
 

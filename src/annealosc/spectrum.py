@@ -23,30 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, interpolate, optimize
-from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
-from .models import ReducedHamiltonian, dH_ds
-# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 3
+from .models import ReducedHamiltonian
+# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 7
+from scipy.linalg import eigh  # noqa: F401
 from .models import hamiltonian_at, tridiagonal_bands  # noqa: F401
 
 
 class DegenerateGroundStateError(RuntimeError):
     """Raised when the two lowest levels coincide (Delta <= 0)."""
-
-
-def eigensystem_lowest(h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenvalues (ascending) and orthonormal eigenvectors of a
-    symmetric matrix, with a residual check ||Hv - lv|| <= 1e-10 ||H||."""
-    h = np.asarray(h, float)
-    dim = h.shape[0]
-    if not 1 <= k <= dim:
-        raise ValueError(f"need 1 <= k <= {dim}, got {k}")
-    vals, vecs = eigh(h, subset_by_index=(0, k - 1))
-    scale = max(np.linalg.norm(h, 2), 1.0)
-    resid = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
-    if np.any(resid > 1e-10 * scale):
-        raise RuntimeError(f"eigensolver residual too large: {resid.max():.3e}")
-    return vals, vecs
 
 
 # Full spectra (evolve's exponentials) of tridiagonal models up to this
@@ -159,14 +145,6 @@ def _two_lowest(model: ReducedHamiltonian, s: float) -> tuple[np.ndarray, np.nda
 def gap_at(model: ReducedHamiltonian, s: float) -> float:
     vals, _ = _two_lowest(model, s)
     return float(vals[1] - vals[0])
-
-
-def gamma_at(model: ReducedHamiltonian, s: float, vecs: np.ndarray | None = None) -> float:
-    """Transition matrix element <phi0|dH/ds|phi1> (sign set by the supplied
-    or freshly computed eigenvectors)."""
-    if vecs is None:
-        _, vecs = _two_lowest(model, s)
-    return float(vecs[:, 0] @ dH_ds(model, s) @ vecs[:, 1])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ quadrature/finite differences, deliberately sharing no code path with the
 reduced-basis implementations it checks.  The exceptions are cf4_reference,
 a plain per-exponential loop of the same CF4 scheme that checks the vectorised
 propagator step for step, and gap_trace_reference, a per-point gap trace that
-checks the batched one point for point.
+checks the batched one point for point, and exact_A_reference, the
+three-predict_split closed-form A fit that checks the vectorised profile.
+The helpers eigensystem_lowest, dH_ds and gamma_at left the package when no
+code in it called them any more; they live here for the tests that use them.
 """
 
 import math
@@ -14,9 +17,55 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from annealosc.models import dH_ds, hamiltonian_at, tridiagonal_bands
+from annealosc.models import _check_s, hamiltonian_at, tridiagonal_bands
+from annealosc.predict import predict_split
 from annealosc.spectrum import (DegenerateGroundStateError, GapTrace,
-                                _crossing_refine_grid, eigensystem_lowest)
+                                _crossing_refine_grid, _two_lowest)
+
+
+def eigensystem_lowest(h, k):
+    """k smallest eigenvalues (ascending) and orthonormal eigenvectors of a
+    symmetric matrix, with a residual check ||Hv - lv|| <= 1e-10 ||H||."""
+    h = np.asarray(h, float)
+    dim = h.shape[0]
+    if not 1 <= k <= dim:
+        raise ValueError(f"need 1 <= k <= {dim}, got {k}")
+    vals, vecs = eigh(h, subset_by_index=(0, k - 1))
+    scale = max(np.linalg.norm(h, 2), 1.0)
+    resid = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+    if np.any(resid > 1e-10 * scale):
+        raise RuntimeError(f"eigensolver residual too large: {resid.max():.3e}")
+    return vals, vecs
+
+
+def dH_ds(model, s):
+    """Exact derivative g'(s) (h1 - h0)."""
+    _check_s(s)
+    return model.schedule_deriv(s) * (model.h1 - model.h0)
+
+
+def gamma_at(model, s, vecs=None):
+    """Transition matrix element <phi0|dH/ds|phi1> (sign set by the supplied
+    or freshly computed eigenvectors)."""
+    if vecs is None:
+        _, vecs = _two_lowest(model, s)
+    return float(vecs[:, 0] @ dH_ds(model, s) @ vecs[:, 1])
+
+
+def exact_A_reference(p, taus, probs, a_max):
+    """Least-squares A on [0, a_max] at the v of p, from three predict_split
+    calls: P = q A^2 + l A + c with c = P(0), q and l from P(+-1).  Returns
+    (A, SSE(A), A is an endpoint)."""
+    c = predict_split(p.with_values(A=0.0), taus)
+    up = predict_split(p.with_values(A=1.0), taus)
+    down = predict_split(p.with_values(A=-1.0), taus)
+    q, l, r = 0.5 * (up + down) - c, 0.5 * (up - down), probs - c
+    roots = np.roots([2.0 * (q @ q), 3.0 * (q @ l), l @ l - 2.0 * (q @ r),
+                      -(l @ r)]).real
+    cands = np.concatenate([[0.0, a_max], roots[(roots > 0.0) & (roots < a_max)]])
+    sse = [float(np.sum((r - (q * a + l) * a) ** 2)) for a in cands]
+    i = int(np.argmin(sse))
+    return float(cands[i]), sse[i], i < 2
 
 
 def full_qubit_hamiltonians(n, f_of_k):

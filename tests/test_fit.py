@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealosc import SplitParams, predict_split
+from annealosc import SplitParams, fit, predict_split
 from annealosc.evolve import EvolutionConfig, SweepResult
-from annealosc.fit import (fit_A, fit_A_v, fit_single_frequency, golden_min)
+from annealosc.fit import (FitResult, fit_A, fit_A_v, fit_single_frequency,
+                           golden_min)
+
+from oracles import exact_A_reference
 
 BASE = SplitParams(rho0=0.5, rho1=1.0, omega_minus=0.3, omega_plus=0.5,
                    g=0.25, v=0.5, A=None, m=1)
@@ -25,6 +30,13 @@ def synthetic_sweep(a, v=None, taus=None, noise=None, rng=None):
 
 def test_golden_min_quadratic():
     assert golden_min(lambda x: (x - 0.3) ** 2, -1.0, 1.0) == pytest.approx(
+        0.3, abs=1e-7)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-20])
+def test_golden_min_stops_at_float_resolution(tol):
+    # a tol below the float spacing of the bracket cannot be met
+    assert golden_min(lambda x: (x - 0.3) ** 2, -3.9, 3.9, tol=tol) == pytest.approx(
         0.3, abs=1e-7)
 
 
@@ -153,3 +165,106 @@ def test_provenance_record():
     assert rec["v"] == BASE.v
     assert rec["tau_min"] == 20.0 and rec["tau_max"] == 120.0
     assert rec["omega_minus"] == BASE.omega_minus
+
+
+def _profile(v, sweep, a_max=2.0, p=BASE):
+    s, r = fit._fixed_terms(p, sweep.taus, sweep.probs)
+    return fit._exact_A(np.asarray(v, float), p.g, p.m, sweep.taus, s, r, a_max)
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=st.floats(0.0, 2.5), log_v_true=st.floats(math.log(0.02), math.log(50.0)),
+       noise=st.sampled_from([None, 0.01, 0.3]), a_max=st.floats(0.05, 2.0),
+       log_vs=st.lists(st.floats(math.log(0.02), math.log(50.0)), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_profile_matches_reference(a, log_v_true, noise, a_max, log_vs, seed):
+    # every v of one vectorised call against the three-predict_split oracle;
+    # tau from 2 keeps exp(-pi g^2 tau / (4 v)) >= 7e-3 at the first tau for
+    # every v drawn, so SSE(A) is not flat to rounding (where it is, the
+    # oracle's differences of predict_split lose q and l, and its A is
+    # arbitrary among near-equal candidates; the underflow test covers that)
+    sweep = synthetic_sweep(a, v=math.exp(log_v_true), noise=noise,
+                            rng=np.random.default_rng(seed),
+                            taus=np.linspace(2.0, 120.0, 120))
+    vs = np.exp(log_vs)
+    got_a, got_sse, got_edge = _profile(vs, sweep, a_max)
+    for j, v in enumerate(vs):
+        want_a, want_sse, want_edge = exact_A_reference(
+            BASE.with_values(v=v), sweep.taus, sweep.probs, a_max)
+        assert abs(got_a[j] - want_a) <= 1e-12
+        # near an exact fit SSE is a sum of residuals far below the data, so
+        # both carry the data's rounding: |dSSE| <= 2 sqrt(SSE) |d resid|,
+        # with |d resid| a few eps |P|
+        floor = 1e-14 * math.sqrt(want_sse) * np.linalg.norm(sweep.probs) + 1e-30
+        assert abs(got_sse[j] - want_sse) <= 1e-12 * want_sse + floor
+        assert got_edge[j] == want_edge
+
+
+@pytest.mark.parametrize("v,taus", [
+    (1e-4, np.linspace(20.0, 120.0, 120)),  # e underflows at every tau
+    (3.5e-3, np.linspace(20.0, 35.0, 40)),  # e^4 underflows, e^2 does not
+])
+def test_profile_underflow_returns_endpoint(v, taus):
+    sweep = synthetic_sweep(0.25, taus=taus)
+    # one batch with a regular v: the vanished cubic must not spoil the batch
+    got_a, got_sse, got_edge = _profile([v, 0.5], sweep)
+    want = exact_A_reference(BASE.with_values(v=v), sweep.taus, sweep.probs, 2.0)
+    assert got_edge[0] and math.isfinite(got_a[0]) and math.isfinite(got_sse[0])
+    assert (got_a[0], got_sse[0], got_edge[0]) == want
+    assert got_a[1] == pytest.approx(0.25, abs=1e-9)
+
+
+def test_fit_work_counts(monkeypatch):
+    # the scan is one vectorised profile call; every golden step and the
+    # final A are one-v calls; predict_split serves only the final residuals
+    sizes, ps_calls = [], []
+    exact, predict = fit._exact_A, fit.predict_split
+
+    def counting_exact(v, *args):
+        sizes.append(len(v))
+        return exact(v, *args)
+
+    def counting_predict(*args):
+        ps_calls.append(1)
+        return predict(*args)
+
+    monkeypatch.setattr(fit, "_exact_A", counting_exact)
+    monkeypatch.setattr(fit, "predict_split", counting_predict)
+    sweep = synthetic_sweep(0.2, v=0.5)
+    fit_A_v(sweep, BASE, n_scan=48)
+    assert sizes[0] == 48
+    assert len(sizes) > 2 and all(n == 1 for n in sizes[1:])
+    assert len(ps_calls) <= 3
+    sizes.clear()
+    fit_A(sweep, BASE)
+    assert sizes == [1]
+
+
+@pytest.mark.parametrize("a_max", [math.nan, math.inf, 0.0, -1.0])
+def test_fit_a_rejects_bad_a_max(a_max):
+    with pytest.raises(ValueError):
+        fit_A(synthetic_sweep(0.25), BASE, a_max=a_max)
+
+
+@pytest.mark.parametrize("kw", [
+    {"a_max": math.nan}, {"a_max": math.inf}, {"a_max": 0.0},
+    {"v_range": (50.0, 0.02)}, {"v_range": (0.5, 0.5)}, {"v_range": (0.0, 50.0)},
+    {"v_range": (0.02, math.inf)}, {"v_range": (math.nan, 50.0)},
+    {"n_scan": 2}, {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-9},
+    {"tol": math.inf},
+])
+def test_fit_a_v_rejects_bad_arguments(kw):
+    with pytest.raises(ValueError):
+        fit_A_v(synthetic_sweep(0.2, v=0.5), BASE, **kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {"a_hat": math.nan}, {"a_hat": math.inf}, {"v_hat": math.nan},
+    {"v_hat": -math.inf}, {"rms_residual": math.nan}, {"rms_residual": math.inf},
+    {"rms_residual": -1.0},
+])
+def test_fit_result_rejects_non_finite(kw):
+    fields = dict(a_hat=0.2, v_hat=0.5, rms_residual=0.0, n_points=120,
+                  converged=True) | kw
+    with pytest.raises(ValueError):
+        FitResult(**fields)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealosc import ModelSpec, build_model, dH_ds, hamiltonian_at
+from annealosc import ModelSpec, build_model, hamiltonian_at
 from annealosc.models import (barrier_profile, build_barrier_model,
                               build_cubic_model, build_grover_model,
                               grover_schedule, tridiagonal_bands)
 
-from oracles import (central_difference, full_grover_hamiltonian,
+from oracles import (central_difference, dH_ds, full_grover_hamiltonian,
                      full_qubit_hamiltonians, symmetric_sector_eigenvalues)
 
 

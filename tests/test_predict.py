@@ -248,7 +248,8 @@ def test_grover_gamma_symmetry_and_endpoints(grover64):
 
 
 def test_grover_gamma_matches_matrix_element(grover64):
-    from annealosc.spectrum import _two_lowest, gamma_at
+    from annealosc.spectrum import _two_lowest
+    from oracles import gamma_at
     for s in [0.0, 0.25, 0.5, 0.75, 1.0]:
         _, vecs = _two_lowest(grover64, s)
         assert abs(gamma_at(grover64, s, vecs)) == pytest.approx(

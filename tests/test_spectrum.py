@@ -6,15 +6,14 @@ import pytest
 from scipy import interpolate, optimize
 from scipy.integrate import quad
 
-from annealosc import (ModelSpec, build_model, eigensystem_lowest, gap_trace,
-                       ground_state, locate_crossing, nobarrier_gap,
-                       rho_endpoints)
+from annealosc import (ModelSpec, build_model, gap_trace, ground_state,
+                       locate_crossing, nobarrier_gap, rho_endpoints)
 from annealosc import spectrum
-from annealosc.models import ReducedHamiltonian, dH_ds, hamiltonian_at
-from annealosc.spectrum import DegenerateGroundStateError, gamma_at, gap_at
+from annealosc.models import ReducedHamiltonian, hamiltonian_at
+from annealosc.spectrum import DegenerateGroundStateError, gap_at
 
-from oracles import (full_qubit_hamiltonians, gap_trace_reference,
-                     symmetric_sector_eigenvalues)
+from oracles import (eigensystem_lowest, full_qubit_hamiltonians, gamma_at,
+                     gap_trace_reference, symmetric_sector_eigenvalues)
 
 # analytic antiderivative of sqrt(1 - 2s + 2s^2): with u = s - 1/2,
 # int sqrt(2u^2 + 1/2) du = (u/2) sqrt(2u^2 + 1/2)
