@@ -14,6 +14,11 @@ evolve's propagator all call it.  It has three cases:
   by batched dense eigh.
 
 Every lowest pair it returns is residual-checked.
+
+`locate_crossing` integrates the gap by QUADPACK's 21-point Gauss-Kronrod
+rule on adaptively bisected panels graded out from the gap minimum; each round
+of nodes is one `_eigs` batch, and omega_- and omega_+ are each within
+quad_tol absolute.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, interpolate, optimize
+from scipy import interpolate, optimize
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .models import ReducedHamiltonian
@@ -281,6 +286,80 @@ class CrossingParams:
         return self.omega_minus + self.omega_plus
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule QK21 (Piessens et al., QUADPACK,
+# Springer 1983): the Kronrod nodes in (0, 1] and their weights, the node 0
+# last, and the 10-point Gauss weights of the nodes at odd positions.
+_XK_HALF = np.array([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+                     0.0])
+_WK_HALF = np.array([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                     0.123491976262065851077208980865766, 0.134709217311473325928054001771707,
+                     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                     0.149445554002916905664936468389821])
+_WG_HALF = np.array([0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+                     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+                     0.295524224714752870173892994651328])
+# on [-1, 1], ascending: the Gauss nodes are _XK[1::2]
+_XK = np.concatenate([-_XK_HALF[:-1], _XK_HALF[::-1]])
+_WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
+_WG = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
+# panels _gap_integrals may evaluate before it gives up: about what quad with
+# limit=200 evaluates on each of two sides.  Bisecting a sharp feature adds
+# two panels a round; an unattainable tolerance doubles the open panels each
+# round and meets the cap within a few rounds.
+_QK_MAX_PANELS = 800
+
+
+def _gap_integrals(model: ReducedHamiltonian, edges: np.ndarray, groups: np.ndarray,
+                   tol: float) -> np.ndarray:
+    """Integrals of Delta(s) over groups of panels, to tol absolute per group.
+
+    Panel j is [edges[j], edges[j + 1]] and adds to group groups[j].  Each
+    round evaluates the 21 Gauss-Kronrod nodes of every open panel in one
+    `_eigs` batch, accepts a panel whose QUADPACK error estimate is at most
+    its width's share of tol, and bisects the others.  Raises RuntimeError
+    rather than evaluate more than _QK_MAX_PANELS panels.
+    """
+    a, b = edges[:-1], edges[1:]
+    share = tol / np.bincount(groups, weights=b - a)  # tolerance per unit width
+    total = np.zeros(len(share))
+    evaluated = 0
+    while len(a):
+        evaluated += len(a)
+        if evaluated > _QK_MAX_PANELS:
+            raise RuntimeError(f"gap integrals not within {tol:g} after "
+                               f"{evaluated - len(a)} Gauss-Kronrod panels")
+        half = 0.5 * (b - a)
+        nodes = 0.5 * (a + b)[:, None] + half[:, None] * _XK
+        lam, _ = _eigs(model, model.schedule(nodes.ravel()), 2)
+        f = (lam[:, 1] - lam[:, 0]).reshape(nodes.shape)
+        kronrod = f @ _WK
+        # QUADPACK's error estimate: |K - G| scaled by the variation resasc,
+        # at least 50 ulp of the integral of |f|
+        resasc = np.abs(f - 0.5 * kronrod[:, None]) @ _WK
+        err = np.abs(kronrod - f[:, 1::2] @ _WG)
+        err = np.where(resasc > 0, resasc * np.minimum(
+            1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5), err)
+        err = half * np.maximum(err, 50.0 * np.finfo(float).eps * (np.abs(f) @ _WK))
+        done = err <= share[groups] * (b - a)
+        total += np.bincount(groups[done], weights=(half * kronrod)[done], minlength=len(total))
+        a, b, groups = a[~done], b[~done], groups[~done]
+        mid = 0.5 * (a + b)
+        a, b, groups = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(groups, 2)
+    return total
+
+
+def _graded(width: float, length: float) -> np.ndarray:
+    """Distances width, 4 width, 16 width, ... below length."""
+    d = width * 4.0 ** np.arange(max(0, math.ceil(math.log(length / width, 4.0))) + 1)
+    return d[d < length]
+
+
 def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
                     quad_tol: float = 1e-10) -> CrossingParams:
     """Refine the gap minimum, classify it, and integrate the gap.
@@ -292,48 +371,54 @@ def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
     insensitive to where the crossing region ends.  (The straight flanks of
     the gap curve never reach the asymptotic slope when the crossing region
     is narrow, so a flank-line fit systematically underestimates v.)
-    omega_-/omega_+ come from adaptive quadrature of Delta split at s*.
+    omega_- and omega_+ each come to within quad_tol absolute from adaptive
+    21-point Gauss-Kronrod quadrature of Delta on panels graded out from s*,
+    every round of nodes decomposed in one batch (`_gap_integrals`).
+    s_tol and quad_tol must be positive and finite.
     """
-    model = trace.model
-    i = int(np.argmin(trace.delta))
-    monotone = i == 0 or i == len(trace.s) - 1
-    if monotone:
-        omega, _ = integrate.quad(lambda s: gap_at(model, s), 0.0, 1.0,
-                                  epsabs=quad_tol, limit=200)
-        return CrossingParams(kind="none", s_star=math.nan, g=float(trace.delta.min()),
-                              v=math.nan, omega_minus=omega, omega_plus=0.0)
+    for name, value in (("s_tol", s_tol), ("quad_tol", quad_tol)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    model, s, delta = trace.model, trace.s, trace.delta
+    i = int(np.argmin(delta))
+    if i == 0 or i == len(s) - 1:
+        omega = _gap_integrals(model, np.array([0.0, 1.0]), np.array([0]), quad_tol)
+        return CrossingParams(kind="none", s_star=math.nan, g=float(delta.min()),
+                              v=math.nan, omega_minus=float(omega[0]), omega_plus=0.0)
 
-    lo, hi = trace.s[i - 1], trace.s[i + 1]
-    res = optimize.minimize_scalar(lambda s: gap_at(model, s), bounds=(lo, hi),
+    res = optimize.minimize_scalar(lambda x: gap_at(model, x), bounds=(s[i - 1], s[i + 1]),
                                    method="bounded", options={"xatol": s_tol})
     s_star = float(res.x)
     g = float(gap_at(model, s_star))
 
-    omega_minus, _ = integrate.quad(lambda s: gap_at(model, s), 0.0, s_star,
-                                    epsabs=quad_tol, limit=200)
-    omega_plus, _ = integrate.quad(lambda s: gap_at(model, s), s_star, 1.0,
-                                   epsabs=quad_tol, limit=200)
+    # the trace points nearest s* on either side where Delta > 2g: the 2g
+    # half-width lies in the cell next to each (absent on a side whose end
+    # has Delta <= 2g: a shallow, large-gap dip)
+    above = delta > 2 * g
+    left = np.flatnonzero(above & (s < s_star))[-1] if above[0] else None
+    right = np.flatnonzero(above & (s > s_star))[0] if above[-1] else None
 
-    # half width at Delta = 2g; absent on either side -> shallow (large-gap) dip
-    def rises_to(target, a, b):
-        fa = gap_at(model, a) - target
-        fb = gap_at(model, b) - target
-        if fa * fb > 0:
-            return None
-        return float(optimize.brentq(lambda s: gap_at(model, s) - target, a, b,
-                                     xtol=1e-10))
-    left = rises_to(2 * g, 0.0, s_star) if gap_at(model, 0.0) > 2 * g else None
-    right = rises_to(2 * g, s_star, 1.0) if gap_at(model, 1.0) > 2 * g else None
+    # panels graded out from s*, the smallest as wide as the trace's Delta < 2g
+    # half-width on its side
+    dl = _graded(s_star - s[left] if left is not None else s_star, s_star)
+    dr = _graded(s[right] - s_star if right is not None else 1.0 - s_star, 1.0 - s_star)
+    edges = np.concatenate([[0.0], s_star - dl[::-1], [s_star], s_star + dr, [1.0]])
+    groups = np.repeat([0, 1], [len(dl) + 1, len(dr) + 1])
+    omega_minus, omega_plus = _gap_integrals(model, edges, groups, quad_tol).tolist()
     if left is None or right is None:
         return CrossingParams(kind="large-gap", s_star=s_star, g=g, v=math.nan,
                               omega_minus=omega_minus, omega_plus=omega_plus)
 
-    w = max(s_star - left, right - s_star)
+    def rises_to_2g(a, b):
+        return float(optimize.brentq(lambda x: gap_at(model, x) - 2 * g, a, b, xtol=1e-10))
+    w = max(s_star - rises_to_2g(s[left], min(s[left + 1], s_star)),
+            rises_to_2g(max(s[right - 1], s_star), s[right]) - s_star)
     # curvature of Delta**2 at the minimum: exact second difference for the
     # Landau-Zener parabola, sampled well inside the crossing region
     h = min(w / 4.0, s_star, 1.0 - s_star)
-    curv = (gap_at(model, s_star + h) ** 2 - 2.0 * g**2
-            + gap_at(model, s_star - h) ** 2) / h**2
+    lam, _ = _eigs(model, model.schedule(np.array([s_star + h, s_star - h])), 2)
+    up, down = (lam[:, 1] - lam[:, 0]).tolist()
+    curv = (up**2 - 2.0 * g**2 + down**2) / h**2
     v = math.sqrt(max(curv / 2.0, 0.0))
     return CrossingParams(kind="avoided", s_star=s_star, g=g, v=v,
                           omega_minus=omega_minus, omega_plus=omega_plus)

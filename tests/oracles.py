@@ -6,7 +6,9 @@ reduced-basis implementations it checks.  The exceptions are cf4_reference,
 a plain per-exponential loop of the same CF4 scheme that checks the vectorised
 propagator step for step, and gap_trace_reference, a per-point gap trace that
 checks the batched one point for point, and exact_A_reference, the
-three-predict_split closed-form A fit that checks the vectorised profile.
+three-predict_split closed-form A fit that checks the vectorised profile, and
+gap_integrals_reference, scipy's quad on the scalar gap, which checks the
+batched Gauss-Kronrod gap integrals.
 The helpers eigensystem_lowest, dH_ds and gamma_at left the package when no
 code in it called them any more; they live here for the tests that use them.
 """
@@ -14,13 +16,13 @@ code in it called them any more; they live here for the tests that use them.
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from annealosc.models import _check_s, hamiltonian_at, tridiagonal_bands
 from annealosc.predict import predict_split
 from annealosc.spectrum import (DegenerateGroundStateError, GapTrace,
-                                _crossing_refine_grid, _two_lowest)
+                                _crossing_refine_grid, _two_lowest, gap_at)
 
 
 def eigensystem_lowest(h, k):
@@ -66,6 +68,20 @@ def exact_A_reference(p, taus, probs, a_max):
     sse = [float(np.sum((r - (q * a + l) * a) ** 2)) for a in cands]
     i = int(np.argmin(sse))
     return float(cands[i]), sse[i], i < 2
+
+
+def gap_integrals_reference(model, s_star):
+    """(int_0^s* Delta ds, int_s*^1 Delta ds) by scipy's adaptive quad on the
+    scalar gap at epsabs = epsrel = 1e-14; s_star NaN (no crossing) gives
+    (int_0^1 Delta ds, 0).  On some gaps quad warns that roundoff keeps it
+    from 1e-14 relative; it then stops near that level, far inside the 1e-10
+    the tests allow."""
+    def side(a, b):
+        return quad(lambda s: gap_at(model, s), a, b, epsabs=1e-14, epsrel=1e-14,
+                    limit=2000)[0]
+    if math.isnan(s_star):
+        return side(0.0, 1.0), 0.0
+    return side(0.0, s_star), side(s_star, 1.0)
 
 
 def full_qubit_hamiltonians(n, f_of_k):

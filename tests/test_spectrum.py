@@ -13,7 +13,8 @@ from annealosc.models import ReducedHamiltonian, hamiltonian_at
 from annealosc.spectrum import DegenerateGroundStateError, gap_at
 
 from oracles import (eigensystem_lowest, full_qubit_hamiltonians, gamma_at,
-                     gap_trace_reference, symmetric_sector_eigenvalues)
+                     gap_integrals_reference, gap_trace_reference,
+                     symmetric_sector_eigenvalues)
 
 # analytic antiderivative of sqrt(1 - 2s + 2s^2): with u = s - 1/2,
 # int sqrt(2u^2 + 1/2) du = (u/2) sqrt(2u^2 + 1/2)
@@ -155,20 +156,104 @@ def test_refined_trace_decomposes_each_point_once(monkeypatch):
         assert np.array_equal(getattr(trace, name), getattr(fresh, name)), name
 
 
+def nobarrier_omega(mu):
+    """int_0^1 sqrt(1 - 2s + (1 + mu**2) s**2) ds, the no-barrier model's gap
+    integral, in closed form: with a = 1 + mu**2 and x = a s - 1,
+    int sqrt(Q) ds = x sqrt(Q) / (2a) + mu**2 / (2 a**1.5) asinh(x / mu)."""
+    a = 1.0 + mu**2
+
+    def antiderivative(s):
+        x = a * s - 1.0
+        return (x * math.sqrt(1.0 - 2.0 * s + a * s**2) / (2.0 * a)
+                + mu**2 / (2.0 * a**1.5) * math.asinh(x / mu))
+    return antiderivative(1.0) - antiderivative(0.0)
+
+
+def test_nobarrier_omega_closed_form():
+    assert nobarrier_omega(1.0) == pytest.approx(OMEGA_NB_MU1, abs=1e-15)
+
+
 def test_monotone_gap_reports_no_crossing():
-    # mu large enough that the decoupled gap only grows
-    model = build_model(ModelSpec(kind="nobarrier", n=1, mu=9.0))
+    # at mu = 40 the gap's minimum (s = 1/1601) lies inside the first cell of
+    # a 101-point grid, so the trace's gap only grows
+    model = build_model(ModelSpec(kind="nobarrier", n=1, mu=40.0))
     tr = gap_trace(model, n_points=101)
+    assert int(np.argmin(tr.delta)) == 0
     cr = locate_crossing(tr)
-    if cr.kind == "none":
-        assert math.isnan(cr.s_star)
-        assert cr.omega > 0
+    assert cr.kind == "none"
+    assert math.isnan(cr.s_star) and math.isnan(cr.v)
+    assert cr.g == tr.delta[0]
+    assert cr.omega_plus == 0.0
+    assert cr.omega == pytest.approx(nobarrier_omega(40.0), abs=1e-10)
 
 
 def test_quadrature_grid_consistency(barrier84, barrier84_crossing):
     finer = locate_crossing(gap_trace(barrier84, n_points=401))
     assert finer.omega_minus == pytest.approx(barrier84_crossing.omega_minus, abs=1e-9)
     assert finer.omega_plus == pytest.approx(barrier84_crossing.omega_plus, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["s_tol", "quad_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_locate_crossing_rejects_bad_tolerances(barrier84_trace, name, value):
+    with pytest.raises(ValueError, match=name):
+        locate_crossing(barrier84_trace, **{name: value})
+
+
+ORACLE_MODELS = {
+    "cubic30": (dict(kind="cubic", n=30), 201),
+    "barrier84": (dict(kind="barrier", n=84, mu=1.0, alpha=0.3, beta=0.5), 201),
+    "grover64": (dict(kind="grover", big_n=64, big_m=1), 201),
+    "nobarrier_mu1": (dict(kind="nobarrier", n=1, mu=1.0), 401),
+    "nobarrier_mu40": (dict(kind="nobarrier", n=1, mu=40.0), 101),
+    # a 1-2 near-crossing (gap 0.0116 at s = 0.4516) makes Delta sharp there
+    "barrier40_excited": (dict(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8), 201),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MODELS))
+def test_gap_integrals_match_tight_quadrature(name):
+    spec, n_points = ORACLE_MODELS[name]
+    model = build_model(ModelSpec(**spec))
+    cr = locate_crossing(gap_trace(model, n_points=n_points))
+    want_minus, want_plus = gap_integrals_reference(model, cr.s_star)
+    assert abs(cr.omega_minus - want_minus) <= 1e-10
+    assert abs(cr.omega_plus - want_plus) <= 1e-10
+
+
+def test_gauss_kronrod_rule_exact_for_polynomials():
+    # K21 integrates degree 31 exactly on [-1, 1], its embedded G10 degree 19
+    assert np.allclose(spectrum._XK[1::2], np.polynomial.legendre.leggauss(10)[0],
+                       rtol=0, atol=1e-15)
+    for j in range(32):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        assert spectrum._XK**j @ spectrum._WK == pytest.approx(exact, abs=1e-15)
+        if j < 20:
+            assert spectrum._XK[1::2]**j @ spectrum._WG == pytest.approx(exact, abs=1e-15)
+
+
+def test_locate_crossing_batches_its_evaluations(monkeypatch, barrier84_trace):
+    # scalar evaluation took 415 calls of one matrix each; the graded panels
+    # need 294 matrices (399 from one panel per side)
+    matrices = []
+    real = spectrum._eigs
+    monkeypatch.setattr(spectrum, "_eigs",
+                        lambda m, g, *a: matrices.append(len(g)) or real(m, g, *a))
+    assert locate_crossing(barrier84_trace).kind == "avoided"
+    assert len(matrices) <= 40
+    assert sum(matrices) <= 315
+
+
+def test_unattainable_quad_tol_raises(monkeypatch, nobarrier1_trace):
+    # every panel fails, so the open panels double each round until the
+    # panel cap stops the loop
+    matrices = []
+    real = spectrum._eigs
+    monkeypatch.setattr(spectrum, "_eigs",
+                        lambda m, g, *a: matrices.append(len(g)) or real(m, g, *a))
+    with pytest.raises(RuntimeError, match="Gauss-Kronrod panels"):
+        locate_crossing(nobarrier1_trace, quad_tol=1e-300)
+    assert sum(matrices) <= 21 * spectrum._QK_MAX_PANELS + 100
 
 
 def _flank_slope(model, lo, hi, n=40):
