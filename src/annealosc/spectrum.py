@@ -424,14 +424,15 @@ def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
                           omega_minus=omega_minus, omega_plus=omega_plus)
 
 
-def nobarrier_gap(s, mu: float):
-    """Closed-form no-barrier gap sqrt(1 - 2s + (1 + mu) s**2)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+def nobarrier_gap(s, mu_sq: float):
+    """Closed-form no-barrier gap sqrt(1 - 2s + (1 + mu_sq) s**2), where
+    mu_sq is the square of the model's ModelSpec.mu."""
+    if mu_sq <= 0:
+        raise ValueError("mu_sq (the square of ModelSpec.mu) must be positive")
     s = np.asarray(s, float)
     if np.any(s < 0) or np.any(s > 1):
         raise ValueError("s must lie in [0, 1]")
-    out = np.sqrt(1.0 - 2.0 * s + (1.0 + mu) * s**2)
+    out = np.sqrt(1.0 - 2.0 * s + (1.0 + mu_sq) * s**2)
     return float(out) if out.ndim == 0 else out
 
 

@@ -201,6 +201,103 @@ def test_eigensolver_branches_agree(monkeypatch):
     assert np.linalg.norm(dense - banded, axis=0).max() <= 1e-12
 
 
+def _degenerate(taus):
+    return taus, np.zeros(1)
+
+
+@pytest.mark.parametrize("taus", [
+    np.linspace(20.0, 100.0, 161),
+    np.linspace(6000.0, 7500.0, 251),
+    np.linspace(150.0, 500.0, 241)[97:203],   # a contiguous open run
+    np.linspace(20.0, 100.0, 65)[40:],        # the high-tau end of a sweep
+    np.linspace(1.0, 2.0, 4),
+])
+def test_tau_lattice_of_even_grids(taus):
+    rows, cols = evolve._tau_lattice(taus)
+    q = math.isqrt(len(taus) - 1) + 1
+    assert len(cols) == q and cols[0] == 0.0 and np.array_equal(rows, taus[::q])
+    j = np.arange(len(taus))
+    assert np.all(np.abs(rows[j // q] + cols[j % q] - taus) <= 4 * np.spacing(taus))
+
+
+def _moved(taus, i, ulps):
+    taus = taus.copy()
+    for _ in range(ulps):
+        taus[i] = np.nextafter(taus[i], math.inf)
+    return taus
+
+
+@pytest.mark.parametrize("taus", [
+    np.geomspace(20.0, 100.0, 161),
+    np.array([50.0]),
+    np.array([20.0, 60.0]),
+    np.array([20.0, 60.0, 100.0]),
+    _moved(np.linspace(20.0, 100.0, 65), 30, 8),
+    np.linspace(20.0, 100.0, 65)[[3, 4, 5, 7, 8, 9]],  # open taus with a hole
+])
+def test_tau_lattice_falls_back_to_degenerate(taus):
+    rows, cols = evolve._tau_lattice(taus)
+    assert rows is taus and np.array_equal(cols, [0.0])
+
+
+def test_lattice_phases_match_direct_trigonometry():
+    rng = np.random.default_rng(5)
+    taus, n = np.linspace(6000.0, 7500.0, 251), 250
+    w = rng.uniform(-2.0, 2.0, (3, 4))  # angles up to 60 rad
+    rows, cols = evolve._tau_lattice(taus)
+    assert len(cols) > 1
+    phases = evolve._phases(w, rows, cols, n, len(taus))
+    angles = -w[..., None] * taus / n
+    assert np.abs(angles).max() > 55.0
+    assert np.abs(phases - (np.cos(angles) + 1j * np.sin(angles))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("case, taus, tol", [
+    ("barrier16", np.linspace(20.0, 100.0, 65), 1e-5),
+    ("grover64", np.linspace(100.0, 300.0, 41), 1e-7),
+    ("cubic16", np.linspace(300.0, 500.0, 33), 1e-4),
+])
+def test_lattice_phases_change_no_work_and_no_probability(request, monkeypatch,
+                                                          case, taus, tol):
+    # the table-product phases against direct trigonometry on every tau:
+    # the same accepted level per tau, the same eigendecompositions, and P
+    # to roundoff: 1e-12 relative, or the change 2 sqrt(P) |dpsi| that a
+    # roundoff-level state difference |dpsi| = 1e-14 makes to a small P
+    # (grover64 at tau = 210 has P = 4.1e-7 and |dP| = 1.1e-18)
+    if case == "grover64":
+        model = request.getfixturevalue(case)
+    elif case == "cubic16":
+        model = build_model(ModelSpec(kind="cubic", n=16))
+    else:
+        model = _barrier(16)
+    cfg = EvolutionConfig(step_tolerance=tol)
+    real_eigs, real_propagate = evolve._eigs, evolve._propagate
+
+    def run():
+        matrices, last = [0], {}
+
+        def eigs(model, g, *args):
+            matrices[0] += len(g)
+            return real_eigs(model, g, *args)
+
+        def propagate(model, ts, n, psi0):
+            last.update(dict.fromkeys(ts.tolist(), n))
+            return real_propagate(model, ts, n, psi0)
+
+        monkeypatch.setattr(evolve, "_eigs", eigs)
+        monkeypatch.setattr(evolve, "_propagate", propagate)
+        probs = tau_sweep(model, taus, cfg).probs
+        return probs, matrices[0], [last[t] for t in taus.tolist()]
+
+    assert len(evolve._tau_lattice(taus)[1]) > 1
+    lattice = run()
+    monkeypatch.setattr(evolve, "_tau_lattice", _degenerate)
+    direct = run()
+    assert lattice[1] == direct[1] and lattice[2] == direct[2]
+    p = direct[0]
+    assert np.all(np.abs(lattice[0] - p) <= 1e-12 * p + 2e-14 * np.sqrt(p))
+
+
 def test_nonconvergence_reported(nobarrier1):
     cfg = EvolutionConfig(step_tolerance=1e-14, max_steps=64, initial_steps=16)
     with pytest.raises(ConvergenceError):

@@ -66,6 +66,12 @@ def test_nobarrier_gap_closed_form_values():
         nobarrier_gap(1.5, 1.0)
 
 
+def test_nobarrier_gap_takes_mu_squared():
+    # the second argument is the square of ModelSpec.mu, not mu itself
+    model = build_model(ModelSpec(kind="nobarrier", n=1, mu=40.0))
+    assert nobarrier_gap(0.5, 40.0**2) == pytest.approx(gap_at(model, 0.5), abs=1e-12)
+
+
 def test_trace_matches_closed_form_mu1(nobarrier1_trace):
     tr = nobarrier1_trace
     assert np.allclose(tr.delta, nobarrier_gap(tr.s, 1.0), atol=1e-10)
