@@ -6,9 +6,9 @@
 Exports the base revision (default HEAD~) with `git archive` into a
 temporary directory and runs `perfbench/run.py` there and in the working
 tree, in pairs whose order alternates, with the same seed within a pair and
-the run length of BENCHMARK.json unless --seconds is given.  Writes
-BENCH_<label>.json at the repository root: for every end-to-end metric, each
-side's median and quartiles, and in how many pairs the working tree was
+the run length of BENCHMARK.json.  Writes BENCH_<label>.json at the
+repository root: for every end-to-end metric, each side's median and
+quartiles, every run's value and in how many pairs the working tree was
 better; then the correctness of every run and a note on the machine.
 """
 
@@ -33,6 +33,10 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
 def summary(xs: list) -> dict:
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
@@ -45,22 +49,17 @@ def main() -> int:
     ap.add_argument("--base", default="HEAD~")
     ap.add_argument("--pairs", type=int, default=10, help="at least 2")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float)
     args = ap.parse_args()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {"base": [], "change": []}
+    base, head = (git("rev-parse", "--short", rev).decode().strip() for rev in (args.base, "HEAD"))
     with tempfile.TemporaryDirectory() as tmp:
-        base = subprocess.run(["git", "rev-parse", "--short", args.base], cwd=ROOT,
-                              capture_output=True, text=True, check=True).stdout.strip()
-        archive = subprocess.run(["git", "archive", base], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=git("archive", base), check=True)
         trees = {"base": Path(tmp), "change": ROOT}
         for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
+            for side in ("base", "change")[::1 if i % 2 == 0 else -1]:
                 sides[side].append(run(trees[side], args.workload, args.seed + i, seconds))
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{s} wall_s {sides[s][-1]['metrics']['wall_s']['value']:.4f}" for s in sides),
@@ -73,19 +72,17 @@ def main() -> int:
         metrics[name] = {"unit": sides["base"][0]["metrics"][name]["unit"], "better": sense,
                          "base": summary(runs["base"]), "change": summary(runs["change"]),
                          "change_won": wins, "pairs": args.pairs, "runs": runs}
-    info = Path("/proc/cpuinfo")
-    lines = info.read_text().splitlines() if info.exists() else []
-    cpu = next((ln.split(":", 1)[1].strip() for ln in lines if ln.startswith("model name")),
-               platform.machine())
+    cpuinfo = Path("/proc/cpuinfo").read_text() if Path("/proc/cpuinfo").exists() else ""
+    cpu = next((ln.split(":", 1)[1].strip() for ln in cpuinfo.splitlines()
+                if ln.startswith("model name")), platform.machine())
     report = {
-        "workload": args.workload, "base": base, "change": "working tree", "seconds": seconds,
-        "seeds": [args.seed, args.seed + args.pairs - 1], "metrics": metrics,
+        "workload": args.workload, "base": base, "change": f"working tree at {head}",
+        "seconds": seconds, "seeds": [args.seed, args.seed + args.pairs - 1], "metrics": metrics,
         "all_correct": all(r["correct"] and not r["failed"] for s in sides.values() for r in s),
         "machine": {"cpu": cpu, "cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": importlib.metadata.version("numpy"),
-                    "platform": platform.platform(), "blas_threads": 1,
-                    "note": "alternating pairs, one run at a time, on a shared machine"},
-    }
+                    "numpy": importlib.metadata.version("numpy"), "blas_threads": 1,
+                    "platform": platform.platform(),
+                    "note": "alternating pairs, one run at a time, on a shared machine"}}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)

@@ -174,14 +174,16 @@ def _phases(w: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_substeps: int,
     return (a[..., :, None] * b[..., None, :]).reshape(w.shape + (-1,))[..., :m]
 
 
-def _chunk_size(dim: int, rows: int, cols: int = 1) -> int:
+def _chunk_size(dim: int, rows: int, cols: int) -> int:
     """Exponentials per chunk: those whose real matrix and eigenvector stacks
     and complex phases fit in _WORKSPACE_BYTES.  The phases of one
-    eigenvalue are charged rows + cols for the tables A and B of _phases and
-    rows x cols for their product (the degenerate lattice, cols = 1, holds A
-    alone but is charged alike).  The state and the buffer the in-place GEMMs
-    write into are allocated once per level and not charged."""
-    per_exp = 16 * dim * (rows * cols + rows + cols) + 16 * dim * dim
+    eigenvalue are charged rows for the degenerate lattice (cols = 1, whose
+    phases are the table A of _phases), and otherwise rows + cols for the
+    tables A and B and rows x cols for their product.  The state and the
+    buffer the in-place GEMMs write into are allocated once per level and
+    not charged."""
+    phases = rows if cols == 1 else rows * cols + rows + cols
+    per_exp = 16 * dim * phases + 16 * dim * dim
     return max(2, _WORKSPACE_BYTES // per_exp)
 
 

@@ -126,6 +126,21 @@ def test_sweep_batch_independent(request, case, taus, tau, tol):
     assert abs(batch - alone) <= 1e-12 * alone
 
 
+@pytest.mark.parametrize("case, taus, tol", [
+    ("barrier16", np.linspace(20.0, 100.0, 65), 1e-5),
+    ("grover64", np.linspace(100.0, 300.0, 41), 1e-7),
+])
+def test_sweep_batch_independent_at_every_tau(request, case, taus, tol):
+    # a tau's table-product phases depend on its sweep's lattice, so its P
+    # does too, at roundoff: 1e-12 relative, or the change 2 sqrt(P) |dpsi|
+    # that a state difference |dpsi| = 1e-14 makes to a small P
+    model = _barrier(16) if case == "barrier16" else request.getfixturevalue(case)
+    cfg = EvolutionConfig(step_tolerance=tol)
+    batch = tau_sweep(model, taus, cfg).probs
+    alone = np.array([tau_sweep(model, np.array([t]), cfg).probs[0] for t in taus])
+    assert np.all(np.abs(batch - alone) <= 1e-12 * alone + 2e-14 * np.sqrt(alone))
+
+
 def test_sweep_validates_taus(nobarrier1):
     with pytest.raises(ValueError):
         tau_sweep(nobarrier1, np.array([10.0, 5.0]))
@@ -171,18 +186,27 @@ def _barrier(n):
     return build_model(ModelSpec(kind="barrier", n=n, mu=1.0, alpha=0.3, beta=0.5))
 
 
-@pytest.mark.parametrize("case, n_substeps", [
+_REFERENCE_CASES = [
     ("grover64", 8192),    # d = 2
     ("barrier12", 1024),   # batched dense eigh, sequential real-GEMM apply
     ("barrier16", 1024),
     ("barrier84", 250),    # eigh_tridiagonal per matrix
-])
-def test_propagate_matches_per_exponential_reference(request, case, n_substeps):
+]
+
+
+@pytest.mark.parametrize("case, n_substeps, taus, q", [
+    pytest.param(case, n, taus, q, id=f"{case}-{n}{suffix}")
+    for taus, q, suffix in (
+        (np.array([20.0, 37.0, 61.5, 90.0, 140.0]), 1, ""),  # direct phases
+        (np.linspace(20.0, 140.0, 9), 3, "-lattice"))        # table products
+    for case, n in _REFERENCE_CASES])
+def test_propagate_matches_per_exponential_reference(request, case, n_substeps, taus, q):
     model = request.getfixturevalue(case) if case in ("grover64", "barrier84") \
         else _barrier(int(case[len("barrier"):]))
-    taus = np.array([20.0, 37.0, 61.5, 90.0, 140.0])
+    rows, cols = evolve._tau_lattice(taus)
+    assert len(cols) == q
     # the level ends in a partial chunk
-    chunk = evolve._chunk_size(model.dim, len(taus))
+    chunk = evolve._chunk_size(model.dim, len(rows), len(cols))
     assert chunk < n_substeps and n_substeps % chunk
     psi0 = ground_state(model, 0.0)
     psi = _propagate(model, taus, n_substeps, psi0)
