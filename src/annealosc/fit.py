@@ -4,10 +4,12 @@ The ansatz is quadratic in A, so the sum of squared residuals is a quartic
 in A and its minimum over [0, a_max] is found exactly, from a few dot
 products and the roots of a cubic.  Only v is searched: the two-parameter
 fit profiles A out of the objective, scans a log-spaced v grid to avoid the
-exponentially flat valley in v, and refines the best cell by golden section.
-The whole scan is one vectorised pass over its v grid (`_exact_A` takes an
-array of v), and each golden-section step is a one-v pass; the terms of the
-ansatz that do not depend on v are formed once per fit.
+exponentially flat valley in v, and takes the root of the profile's slope in
+log v, which the envelope theorem gives in closed form at the optimal A, in
+the grid cell where it changes sign.  The whole scan is one vectorised pass
+over its v grid (`_exact_A` takes an array of v), and each secant step of the
+root is a one-v pass; the terms of the ansatz that do not depend on v are
+formed once per fit.
 """
 
 from __future__ import annotations
@@ -19,29 +21,7 @@ import numpy as np
 
 from .evolve import SweepResult
 from .predict import SplitParams, _lz_decay, _split_terms, predict_split
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_min(f, a: float, b: float, tol: float = 1e-8) -> float:
-    """Golden-section search for the minimum of a unimodal f on [a, b].
-
-    Stops once b - a <= tol, or once rounding leaves no float strictly
-    between the bracket and its two interior points (so a tol below the
-    float spacing at [a, b] ends there instead of looping forever)."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol and a < c < d < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+from .spectrum import _secant_root
 
 
 def _fixed_terms(p: SplitParams, taus: np.ndarray,
@@ -94,6 +74,23 @@ def _exact_A(v: np.ndarray, g: float, m: int, taus: np.ndarray, s: np.ndarray,
     i = np.argmin(sse, axis=1)  # the endpoints come first and win ties
     rows = np.arange(len(v))
     return cands[rows, i], sse[rows, i], i < 2
+
+
+def _profile_slope(v: np.ndarray, a: np.ndarray, g: float, m: int, taus: np.ndarray,
+                   s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """dF/dlog v of the profile F(v) = min_A SSE(A, v) at each v, given the
+    optimal A there (from `_exact_A`, with its (S, r) from `_fixed_terms`).
+
+    By the envelope theorem this is dSSE/dlog v at fixed A.  With
+    e = _lz_decay(g, v, tau) and k = pi g^2 tau / (4 v), de/dlog v = k e, so
+    the model terms q A^2 + l A (q = m e^2, l = m e S) change at the rate
+    k (2 q A^2 + l A), and dSSE/dlog v = -2 sum resid k (2 q A^2 + l A).
+    """
+    v, a = v[:, None], a[:, None]
+    e = _lz_decay(g, v, taus)
+    lam = m * e * a * (e * a + s)  # q A^2 + l A
+    k = math.pi * g**2 * taus / (4.0 * v)
+    return -2.0 * np.sum((r - lam) * k * (lam + m * (e * a) ** 2), axis=1)
 
 
 @dataclass(frozen=True)
@@ -175,8 +172,13 @@ def fit_A_v(sweep: SweepResult, p: SplitParams, a_max: float = 2.0,
     profiles out A: for each candidate v the inner minimum over A is solved
     in closed form (see `_exact_A`), and only the profile objective
     F(v) = min_A sse(A, v) is searched, on a log-spaced v grid of n_scan
-    points (one `_exact_A` call for the whole grid) refined by golden
-    section to tol in log v (one single-v call per step).
+    points (one `_exact_A` call for the whole grid).  v_hat is then the root
+    of dF/dlog v (`_profile_slope`) in the grid cell next to the best point
+    where the slope changes sign, by safeguarded secant steps of one
+    single-v `_exact_A` call each, to tol/2 in log v.  Where the slope does
+    not change sign there (a minimum at an end of v_range, or a flat profile
+    with no Landau-Zener signal) v_hat is the best grid point, and the fit is
+    flagged unconverged.
     """
     _check_a_max(a_max)
     if not 0.0 < v_range[0] < v_range[1] < math.inf:
@@ -189,16 +191,30 @@ def fit_A_v(sweep: SweepResult, p: SplitParams, a_max: float = 2.0,
     taus, probs = sweep.taus, sweep.probs
     s, r = _fixed_terms(p, taus, probs)
 
-    def exact(v):
-        return _exact_A(v, p.g, p.m, taus, s, r, a_max)
-
     grid = np.linspace(math.log(v_range[0]), math.log(v_range[1]), n_scan)
-    i = int(np.argmin(exact(np.exp(grid))[1]))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, n_scan - 1)]
-    logv = golden_min(lambda lv: exact(np.array([math.exp(lv)]))[1][0], lo, hi, tol=tol)
-    v_hat = math.exp(logv)
-    a_hat = float(exact(np.array([v_hat]))[0][0])
+    a_scan, sse, _edge = _exact_A(np.exp(grid), p.g, p.m, taus, s, r, a_max)
+    a_at = dict(zip(grid.tolist(), a_scan.tolist()))
+    i = int(np.argmin(sse))
+    near = np.arange(max(i - 1, 0), min(i + 2, n_scan))
+    slopes = dict(zip(near.tolist(), _profile_slope(
+        np.exp(grid[near]), a_scan[near], p.g, p.m, taus, s, r).tolist()))
+
+    def profile_slope(logv):
+        v = np.array([math.exp(logv)])
+        a, _sse, _edge = _exact_A(v, p.g, p.m, taus, s, r, a_max)
+        a_at[logv] = float(a[0])
+        return float(_profile_slope(v, a, p.g, p.m, taus, s, r)[0])
+
+    # the cell next to the best point on the side where F falls, if F turns
+    # back up across it
+    lo, hi = (i - 1, i) if slopes[i] > 0.0 else (i, i + 1)
+    if lo in slopes and hi in slopes and slopes[lo] < 0.0 < slopes[hi]:
+        logv = _secant_root(profile_slope, grid[lo], grid[hi], slopes[lo], slopes[hi],
+                            0.5 * tol)
+    else:
+        logv = grid[i]
+    logv = float(logv)
+    v_hat, a_hat = math.exp(logv), a_at[logv]
     resid = probs - predict_split(p.with_values(A=a_hat, v=v_hat), taus)
     # degenerate when forcing A = 0 fits essentially as well (the data carry
     # no Landau-Zener signal, so v is arbitrary), or v ran into its bounds;

@@ -15,9 +15,13 @@ evolve's propagator all call it.  It has three cases:
 
 Every lowest pair it returns is residual-checked.
 
-`locate_crossing` integrates the gap by QUADPACK's 21-point Gauss-Kronrod
-rule on adaptively bisected panels graded out from the gap minimum; each round
-of nodes is one `_eigs` batch, and omega_- and omega_+ are each within
+`locate_crossing` finds the gap minimum s* and the two points where the gap
+is 2g as roots, using the slope Delta'(s) that Hellmann-Feynman gives from the
+eigenvectors of each eigensolve: s* by safeguarded secant steps from the trace
+cell where the trace's own slopes change sign, the 2g points by Newton steps,
+both sides in one batch.  It integrates the gap by QUADPACK's 21-point
+Gauss-Kronrod rule on adaptively bisected panels graded out from s*; each
+round of nodes is one `_eigs` batch, and omega_- and omega_+ are each within
 quad_tol absolute.
 """
 
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import interpolate, optimize
+from scipy import interpolate
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .models import ReducedHamiltonian
@@ -360,21 +364,117 @@ def _graded(width: float, length: float) -> np.ndarray:
     return d[d < length]
 
 
+def _hf_slope(model: ReducedHamiltonian, s: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Delta'(s) = g'(s) (<phi1|h1 - h0|phi1> - <phi0|h1 - h0|phi0>) at the k
+    points s from their lowest two eigenvectors vecs (k, d, 2), by
+    Hellmann-Feynman (Feynman, Phys. Rev. 56 (1939) 340); any sign gauge."""
+    hf = np.einsum("kim,kim->km", vecs, np.matmul(model.h1 - model.h0, vecs))
+    return model.schedule_deriv(s) * (hf[:, 1] - hf[:, 0])
+
+
+def _gap_slope(model: ReducedHamiltonian, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Delta and its Hellmann-Feynman slope at the points s, one `_eigs` batch."""
+    lam, vecs = _eigs(model, model.schedule(s), 2)
+    return lam[:, 1] - lam[:, 0], _hf_slope(model, s, vecs)
+
+
+def _secant_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
+    """A root of f in [a, b], given fa = f(a) < 0 < fb = f(b), to tol.
+
+    Secant steps through the last two points, starting from the end with the
+    smaller |f| and kept inside the bracket around the sign change: as in
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4), a step that would leave the bracket, or that is not below
+    half the step before last, bisects instead.  Once the secant has
+    converged on an end of the bracket (a step below tol/2 after another, or
+    one that would not leave that end) and the bracket is still wider than
+    tol, the next step is tol/2 into it, which closes the bracket around the
+    converged point.  Returns the end of the final bracket (at most tol wide,
+    or no float between its ends) with the smaller |f|: a point where f was
+    evaluated, within tol of a root.
+    """
+    x0, f0, x1, f1 = (b, fb, a, fa) if abs(fa) < abs(fb) else (a, fa, b, fb)
+    before_last = last = b - a
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else mid
+        if abs(x - x1) < 0.5 * tol and (abs(last) < 0.5 * tol or not a < x < b):
+            # the secant has converged on x1, an end of the bracket
+            x = x1 + math.copysign(0.5 * tol, mid - x1)
+            before_last, last = last, x - x1
+        elif a < x < b and abs(x - x1) < 0.5 * abs(before_last):
+            before_last, last = last, x - x1
+        else:
+            x = mid
+            before_last = last = mid - x1
+        if not a < x < b:
+            x = mid
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+        x0, f0, x1, f1 = x1, f1, x, fx
+    return a if abs(fa) <= abs(fb) else b
+
+
+# a 2g point is accepted once its Newton step is this small
+_TWO_G_XTOL = 1e-10
+
+
+def _two_g_points(model: ReducedHamiltonian, g: float, lo: np.ndarray, hi: np.ndarray,
+                  f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+    """The points where Delta = 2g, one in each cell [lo, hi] across which
+    Delta - 2g changes sign from f_lo to f_hi.
+
+    Newton steps on the Hellmann-Feynman slope from each cell's secant point;
+    every side's bracket shrinks to its sign change, and a step that leaves
+    it bisects.  All sides are one `_eigs` batch a step, until every step is
+    at most _TWO_G_XTOL.
+    """
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    for _ in range(60):
+        delta, slope = _gap_slope(model, x)
+        f = delta - 2.0 * g
+        same = np.sign(f) == np.sign(f_lo)
+        lo, f_lo = np.where(same, x, lo), np.where(same, f, f_lo)
+        hi = np.where(same, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(f == 0.0, 0.0, f / slope)
+        new = x - step
+        new = np.where((lo < new) & (new < hi) | (step == 0.0), new, 0.5 * (lo + hi))
+        if np.all(np.abs(new - x) <= _TWO_G_XTOL):
+            return new
+        x = new
+    raise RuntimeError(f"Delta = 2g points not found within {_TWO_G_XTOL:g} in 60 steps")
+
+
 def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
                     quad_tol: float = 1e-10) -> CrossingParams:
     """Refine the gap minimum, classify it, and integrate the gap.
 
-    The minimum is refined by bounded scalar minimization of Delta(s) between
-    the bracketing grid points.  The Landau-Zener slope v is read off the
-    curvature of Delta**2 at the minimum, v = sqrt((Delta**2)''(s*) / 2),
-    which is exact for the Landau-Zener gap sqrt(g**2 + v**2 (s - s*)**2) and
-    insensitive to where the crossing region ends.  (The straight flanks of
-    the gap curve never reach the asymptotic slope when the crossing region
-    is narrow, so a flank-line fit systematically underestimates v.)
-    omega_- and omega_+ each come to within quad_tol absolute from adaptive
-    21-point Gauss-Kronrod quadrature of Delta on panels graded out from s*,
-    every round of nodes decomposed in one batch (`_gap_integrals`).
-    s_tol and quad_tol must be positive and finite.
+    s* is the root of the Hellmann-Feynman slope Delta'(s) (`_hf_slope`) to
+    within s_tol, bracketed by the trace cell next to the trace's smallest gap
+    where the slopes of the trace's own eigenvectors change sign, and refined
+    by safeguarded secant steps of one eigensolve each (`_secant_root`); g is
+    Delta there.  The Landau-Zener slope v is read off the curvature of
+    Delta**2 at the minimum, v = sqrt((Delta**2)''(s*) / 2), which is exact
+    for the Landau-Zener gap sqrt(g**2 + v**2 (s - s*)**2) and insensitive to
+    where the crossing region ends.  (The straight flanks of the gap curve
+    never reach the asymptotic slope when the crossing region is narrow, so a
+    flank-line fit systematically underestimates v.)  Its second difference
+    is taken at a quarter of the larger 2g half-width, whose two ends come
+    from Newton steps on the same slope, both sides in one batch a step
+    (`_two_g_points`).  omega_- and omega_+ each come to within quad_tol
+    absolute from adaptive 21-point Gauss-Kronrod quadrature of Delta on
+    panels graded out from s*, every round of nodes decomposed in one batch
+    (`_gap_integrals`).  s_tol and quad_tol must be positive and finite.
+    Raises RuntimeError when the slopes at the trace points around its
+    smallest gap do not bracket a minimum (a trace too coarse there).
     """
     for name, value in (("s_tol", s_tol), ("quad_tol", quad_tol)):
         if not 0.0 < value < math.inf:
@@ -386,10 +486,29 @@ def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
         return CrossingParams(kind="none", s_star=math.nan, g=float(delta.min()),
                               v=math.nan, omega_minus=float(omega[0]), omega_plus=0.0)
 
-    res = optimize.minimize_scalar(lambda x: gap_at(model, x), bounds=(s[i - 1], s[i + 1]),
-                                   method="bounded", options={"xatol": s_tol})
-    s_star = float(res.x)
-    g = float(gap_at(model, s_star))
+    near = np.arange(i - 1, i + 2)
+    left_slope, slope, right_slope = _hf_slope(
+        model, s[near], np.stack([trace.vec0[:, near].T, trace.vec1[:, near].T], axis=2))
+    gaps = {float(s[j]): float(delta[j]) for j in near}
+
+    def gap_slope(x):
+        d, sl = _gap_slope(model, np.array([x]))
+        gaps[x] = float(d[0])
+        return float(sl[0])
+
+    if slope == 0.0:
+        s_star = float(s[i])
+    elif left_slope < 0.0 < slope:
+        s_star = _secant_root(gap_slope, s[i - 1], s[i], left_slope, slope, s_tol)
+    elif slope < 0.0 < right_slope:
+        s_star = _secant_root(gap_slope, s[i], s[i + 1], slope, right_slope, s_tol)
+    else:
+        raise RuntimeError(
+            f"gap slopes {left_slope:.3g}, {slope:.3g}, {right_slope:.3g} at the trace "
+            f"points around its smallest gap (s = {s[i]:.6g}) bracket no minimum; "
+            f"trace with more n_points")
+    s_star = float(s_star)
+    g = gaps[s_star]
 
     # the trace points nearest s* on either side where Delta > 2g: the 2g
     # half-width lies in the cell next to each (absent on a side whose end
@@ -409,10 +528,14 @@ def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
         return CrossingParams(kind="large-gap", s_star=s_star, g=g, v=math.nan,
                               omega_minus=omega_minus, omega_plus=omega_plus)
 
-    def rises_to_2g(a, b):
-        return float(optimize.brentq(lambda x: gap_at(model, x) - 2 * g, a, b, xtol=1e-10))
-    w = max(s_star - rises_to_2g(s[left], min(s[left + 1], s_star)),
-            rises_to_2g(max(s[right - 1], s_star), s[right]) - s_star)
+    # the 2g cells, cut at s*: Delta - 2g falls from + to - on the left and
+    # rises from - to + on the right
+    lo = np.array([s[left], max(s[right - 1], s_star)])
+    hi = np.array([min(s[left + 1], s_star), s[right]])
+    f_lo = np.where(lo == s_star, g, delta[[left, right - 1]]) - 2 * g
+    f_hi = np.where(hi == s_star, g, delta[[left + 1, right]]) - 2 * g
+    rise_left, rise_right = _two_g_points(model, g, lo, hi, f_lo, f_hi).tolist()
+    w = max(s_star - rise_left, rise_right - s_star)
     # curvature of Delta**2 at the minimum: exact second difference for the
     # Landau-Zener parabola, sampled well inside the crossing region
     h = min(w / 4.0, s_star, 1.0 - s_star)

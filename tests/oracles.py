@@ -8,9 +8,12 @@ propagator step for step, and gap_trace_reference, a per-point gap trace that
 checks the batched one point for point, and exact_A_reference, the
 three-predict_split closed-form A fit that checks the vectorised profile, and
 gap_integrals_reference, scipy's quad on the scalar gap, which checks the
-batched Gauss-Kronrod gap integrals.
-The helpers eigensystem_lowest, dH_ds and gamma_at left the package when no
-code in it called them any more; they live here for the tests that use them.
+batched Gauss-Kronrod gap integrals, and fit_A_v_golden, the golden-section
+search of the fit profile that the joint fit used before its slope root, on
+the package's own profile.
+The helpers eigensystem_lowest, dH_ds, gamma_at and golden_min left the
+package when no code in it called them any more; they live here for the tests
+that use them.
 """
 
 import math
@@ -19,6 +22,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh, eigh_tridiagonal
 
+from annealosc import fit
 from annealosc.models import _check_s, hamiltonian_at, tridiagonal_bands
 from annealosc.predict import predict_split
 from annealosc.spectrum import (DegenerateGroundStateError, GapTrace,
@@ -52,6 +56,48 @@ def gamma_at(model, s, vecs=None):
     if vecs is None:
         _, vecs = _two_lowest(model, s)
     return float(vecs[:, 0] @ dH_ds(model, s) @ vecs[:, 1])
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(f, a: float, b: float, tol: float = 1e-8) -> float:
+    """Golden-section search for the minimum of a unimodal f on [a, b].
+
+    Stops once b - a <= tol, or once rounding leaves no float strictly
+    between the bracket and its two interior points (so a tol below the
+    float spacing at [a, b] ends there instead of looping forever)."""
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol and a < c < d < b:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def fit_A_v_golden(sweep, p, a_max=2.0, v_range=(0.02, 50.0), n_scan=48, tol=1e-9):
+    """(v_hat, a_hat) by golden section on the fit profile: the best point
+    of fit_A_v's log-v scan, its two neighbouring cells refined by golden_min
+    on F(v) = min_A SSE to tol in log v, and A from `fit._exact_A` there."""
+    taus = sweep.taus
+    s, r = fit._fixed_terms(p, taus, sweep.probs)
+
+    def exact(v):
+        return fit._exact_A(np.asarray(v, float), p.g, p.m, taus, s, r, a_max)
+
+    grid = np.linspace(math.log(v_range[0]), math.log(v_range[1]), n_scan)
+    i = int(np.argmin(exact(np.exp(grid))[1]))
+    logv = golden_min(lambda lv: exact([math.exp(lv)])[1][0],
+                      grid[max(i - 1, 0)], grid[min(i + 1, n_scan - 1)], tol=tol)
+    v_hat = math.exp(logv)
+    return v_hat, float(exact([v_hat])[0][0])
 
 
 def exact_A_reference(p, taus, probs, a_max):

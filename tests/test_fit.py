@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from annealosc import SplitParams, fit, predict_split
 from annealosc.evolve import EvolutionConfig, SweepResult
-from annealosc.fit import (FitResult, fit_A, fit_A_v, fit_single_frequency,
-                           golden_min)
+from annealosc.fit import FitResult, fit_A, fit_A_v, fit_single_frequency
 
-from oracles import exact_A_reference
+from oracles import exact_A_reference, fit_A_v_golden, golden_min
 
 BASE = SplitParams(rho0=0.5, rho1=1.0, omega_minus=0.3, omega_plus=0.5,
                    g=0.25, v=0.5, A=None, m=1)
@@ -215,8 +214,9 @@ def test_profile_underflow_returns_endpoint(v, taus):
 
 
 def test_fit_work_counts(monkeypatch):
-    # the scan is one vectorised profile call; every golden step and the
-    # final A are one-v calls; predict_split serves only the final residuals
+    # the scan is one n_scan-wide profile call; every secant step of the
+    # slope root is a one-v call, and the bracket's ends and v_hat's A come
+    # from calls already made; predict_split serves only the final residuals
     sizes, ps_calls = [], []
     exact, predict = fit._exact_A, fit.predict_split
 
@@ -233,11 +233,92 @@ def test_fit_work_counts(monkeypatch):
     sweep = synthetic_sweep(0.2, v=0.5)
     fit_A_v(sweep, BASE, n_scan=48)
     assert sizes[0] == 48
-    assert len(sizes) > 2 and all(n == 1 for n in sizes[1:])
+    assert len(sizes) >= 2 and all(n == 1 for n in sizes[1:])
+    assert len(sizes) <= 15  # golden section took about 45
     assert len(ps_calls) <= 3
     sizes.clear()
     fit_A(sweep, BASE)
     assert sizes == [1]
+
+
+# the noiseless sweeps of test_fit_a_v_noiseless_roundtrip and
+# test_fit_a_v_roundtrip_grid
+ROUNDTRIP_SWEEPS = [(0.2, 0.5, None)] + [
+    (a, v, np.linspace(2.0 if v <= 1.0 else 20.0, tau_hi, 150))
+    for a, v, tau_hi in [(0.01, 0.05, 60.0), (0.1, 0.05, 60.0), (0.05, 1.0, 120.0),
+                         (1.0, 5.0, 300.0)]]
+
+
+def _assert_matches_golden(sweep, tol=1e-9, **kw):
+    res = fit_A_v(sweep, BASE, tol=tol, **kw)
+    v_ref, a_ref = fit_A_v_golden(sweep, BASE, tol=tol, **kw)
+    assert abs(math.log(res.v_hat / v_ref)) <= tol
+    assert abs(res.a_hat - a_ref) <= 1e-8 * abs(a_ref)
+    return res
+
+
+@pytest.mark.parametrize("a,v,taus", ROUNDTRIP_SWEEPS)
+def test_fit_a_v_matches_golden_reference(a, v, taus):
+    res = _assert_matches_golden(synthetic_sweep(a, v=v, taus=taus))
+    assert res.converged
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=st.floats(0.01, 1.9), log_v_true=st.floats(math.log(0.05), math.log(20.0)))
+def test_fit_a_v_matches_golden_property(a, log_v_true):
+    # noiseless data that stay physical: the profile's minimum is an exact
+    # fit, which golden section resolves as well as the slope root does
+    taus = np.linspace(2.0, 120.0, 120)
+    p = BASE.with_values(A=a, v=math.exp(log_v_true))
+    assume(predict_split(p, taus).max() < 1.0)
+    _assert_matches_golden(synthetic_sweep(a, v=p.v, taus=taus))
+
+
+@pytest.mark.parametrize("a,log_v", [(0.0115, 2.095), (0.035, -2.715), (0.3, 0.0)])
+def test_fit_a_v_resolves_noisy_minimum(a, log_v):
+    # with 1% noise the profile's minimum is far above rounding, so F is flat
+    # to rounding over about sqrt(eps) in log v and golden section stops up
+    # to 1e-8 off; the slope root matches the vertex of a cubic fitted to F
+    # at 13 points 2e-5 apart
+    sweep = synthetic_sweep(a, v=math.exp(log_v), taus=np.linspace(2.0, 120.0, 120),
+                            noise=0.01, rng=np.random.default_rng(2))
+    res = fit_A_v(sweep, BASE)
+    j = np.arange(-6.0, 7.0)
+    x = math.log(res.v_hat) + 2e-5 * j
+    cubic = np.polynomial.Polynomial.fit(j, _profile(np.exp(x), sweep)[1], 3)
+    turning = cubic.deriv().roots()
+    vertex = x[6] + 2e-5 * turning.real[np.argmin(np.abs(turning))]
+    assert abs(math.log(res.v_hat) - vertex) <= 1e-9
+
+
+def test_fit_a_v_edge_minimum_flagged():
+    # true v = 0.5 above v_range: the profile falls all the way to the upper
+    # bound, v_hat is that bound and the fit is not converged
+    sweep = synthetic_sweep(0.2, v=0.5)
+    res = fit_A_v(sweep, BASE, v_range=(0.02, 0.3))
+    assert res.v_hat == pytest.approx(0.3, rel=1e-15)
+    assert not res.converged
+    v_ref, a_ref = fit_A_v_golden(sweep, BASE, v_range=(0.02, 0.3))
+    assert abs(math.log(res.v_hat / v_ref)) <= 1e-9
+    assert res.a_hat == pytest.approx(a_ref, rel=1e-8)
+
+
+def test_fit_a_v_no_signal_is_degenerate():
+    # A = 0 data: A_hat = 0 at every v, the profile is flat and has no slope,
+    # and v_hat is a scan point, flagged
+    res = fit_A_v(synthetic_sweep(0.0), BASE, n_scan=48)
+    grid = np.exp(np.linspace(math.log(0.02), math.log(50.0), 48))
+    assert np.min(np.abs(grid / res.v_hat - 1.0)) <= 1e-15
+    assert res.a_hat == 0.0
+    assert not res.converged
+
+
+def test_fit_a_v_stops_at_float_resolution():
+    # a tol below the float spacing of log v cannot be met
+    sweep = synthetic_sweep(0.2, v=0.5)
+    res = fit_A_v(sweep, BASE, tol=1e-300)
+    assert res.v_hat == pytest.approx(0.5, rel=1e-9)
+    assert res.converged
 
 
 @pytest.mark.parametrize("a_max", [math.nan, math.inf, 0.0, -1.0])

@@ -240,14 +240,17 @@ def test_gauss_kronrod_rule_exact_for_polynomials():
 
 def test_locate_crossing_batches_its_evaluations(monkeypatch, barrier84_trace):
     # scalar evaluation took 415 calls of one matrix each; the graded panels
-    # need 294 matrices (399 from one panel per side)
+    # need 273 matrices (399 from one panel per side), and the slope roots
+    # 5 secant steps of one matrix and 2 Newton steps of two, plus the two
+    # curvature points: 10 calls and 284 matrices
     matrices = []
     real = spectrum._eigs
     monkeypatch.setattr(spectrum, "_eigs",
                         lambda m, g, *a: matrices.append(len(g)) or real(m, g, *a))
+    monkeypatch.setattr(spectrum, "gap_at", lambda *a: pytest.fail("gap_at called"))
     assert locate_crossing(barrier84_trace).kind == "avoided"
-    assert len(matrices) <= 40
-    assert sum(matrices) <= 315
+    assert len(matrices) <= 12
+    assert sum(matrices) <= 290
 
 
 def test_unattainable_quad_tol_raises(monkeypatch, nobarrier1_trace):
@@ -260,6 +263,148 @@ def test_unattainable_quad_tol_raises(monkeypatch, nobarrier1_trace):
     with pytest.raises(RuntimeError, match="Gauss-Kronrod panels"):
         locate_crossing(nobarrier1_trace, quad_tol=1e-300)
     assert sum(matrices) <= 21 * spectrum._QK_MAX_PANELS + 100
+
+
+# ------------------------------------------------ slope roots of locate_crossing
+
+def _crossing_model(name):
+    spec, n_points = ORACLE_MODELS[name]
+    model = build_model(ModelSpec(**spec))
+    return model, gap_trace(model, n_points=n_points)
+
+
+def _delta(model, s):
+    return spectrum._gap_slope(model, np.atleast_1d(np.asarray(s, float)))[0]
+
+
+def _slope(model, s):
+    return spectrum._gap_slope(model, np.atleast_1d(np.asarray(s, float)))[1]
+
+
+@pytest.mark.parametrize("name", ["barrier84", "cubic30", "grover64", "nobarrier_mu40"])
+def test_hellmann_feynman_slope_matches_central_difference(name):
+    # grover64's schedule is not linear, so g'(s) is exercised too; nobarrier
+    # mu = 40 has its minimum at s = 1/1601
+    model, trace = _crossing_model(name)
+    cr = locate_crossing(trace)
+    s0 = cr.s_star if cr.kind != "none" else 1.0 / 1601.0
+    width = cr.g / cr.v if cr.kind == "avoided" else 0.05 * min(s0, 1.0 - s0) + 1e-4
+    s = s0 + width * np.array([-2.0, -0.5, 0.0, 0.3, 1.0, 3.0])
+    s = s[(s > 1e-4) & (s < 1.0 - 1e-4)]
+    h = 1e-5 * width
+    want = (_delta(model, s + h) - _delta(model, s - h)) / (2.0 * h)
+    got = _slope(model, s)
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_nobarrier_slope_closed_form():
+    model = build_model(ModelSpec(kind="nobarrier", n=1, mu=40.0))
+    s = np.array([0.0, 1.0 / 3202.0, 1.0 / 1601.0, 0.01, 0.5, 1.0])
+    want = ((1.0 + 40.0**2) * s - 1.0) / nobarrier_gap(s, 40.0**2)
+    assert np.abs(_slope(model, s) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# g as version 0.5.1 located it (bounded Brent on Delta), per model
+SLOPE_ROOT_MODELS = {
+    "barrier84": (dict(kind="barrier", n=84, mu=1.0, alpha=0.3, beta=0.5),
+                  0.24848493603218103),
+    "cubic30": (dict(kind="cubic", n=30), 0.13742191688030303),
+    "barrier40_excited": (dict(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8),
+                          0.01839020960083637),
+    # the refinement point 5.6e-17 from s = 0.37 (test_refined_grid_has_no_near_duplicate_point)
+    "barrier40_fault": (dict(kind="barrier", n=40, mu=1.0, alpha=0.3307940789736494,
+                             beta=0.5272988341563213), 0.2274108093469689),
+    "barrier32_large_gap": (dict(kind="barrier", n=32, mu=1.0, alpha=0.06, beta=0.06),
+                            0.6085749818042689),
+}
+
+
+@pytest.mark.parametrize("name", list(SLOPE_ROOT_MODELS))
+def test_s_star_is_a_tight_slope_root(name):
+    spec, g_before = SLOPE_ROOT_MODELS[name]
+    model = build_model(ModelSpec(**spec))
+    s_tol = 1e-8
+    cr = locate_crossing(gap_trace(model), s_tol=s_tol)
+    assert cr.kind == ("large-gap" if name == "barrier32_large_gap" else "avoided")
+    root = optimize.brentq(lambda x: _slope(model, x)[0], cr.s_star - 1e-4,
+                           cr.s_star + 1e-4, xtol=1e-15)
+    assert abs(cr.s_star - root) <= s_tol
+    assert abs(cr.g - g_before) <= 1e-13
+    assert cr.g == _delta(model, cr.s_star)[0]
+
+
+@pytest.mark.parametrize("name", ["barrier84", "cubic30", "barrier40_excited"])
+def test_two_g_points_are_tight(monkeypatch, name):
+    model, trace = _crossing_model(name)
+    found = []
+    real = spectrum._two_g_points
+    monkeypatch.setattr(spectrum, "_two_g_points",
+                        lambda *a: found.append(real(*a)) or found[-1])
+    cr = locate_crossing(trace)
+    assert cr.kind == "avoided" and len(found) == 1
+    left, right = found[0]
+    assert left < cr.s_star < right
+    assert np.abs(_delta(model, found[0]) - 2.0 * cr.g).max() <= 1e-10
+    for x, lo, hi in ((left, 0.0, cr.s_star), (right, cr.s_star, 1.0)):
+        root = optimize.brentq(lambda y: _delta(model, y)[0] - 2.0 * cr.g, lo, hi, xtol=1e-15)
+        assert abs(x - root) <= 1e-10
+
+
+@pytest.mark.parametrize("f,root", [
+    (lambda x: math.tanh(20.0 * (x - 0.3)), 0.3),
+    (lambda x: (x - 0.3) + 4.0 * (x - 0.3) ** 3, 0.3),
+    (lambda x: math.exp(x) - 2.0, math.log(2.0)),
+    # the secant lands on an end of the bracket and would bisect from there
+    (lambda x: math.atan(30.0 * (x - 0.3)) + 0.5, 0.3 - math.tan(0.5) / 30.0),
+    # a slope with rounding noise never reaches 0: the bracket must close on
+    # its own once the secant has converged
+    (lambda x: (x - 0.3) + 1e-13 * math.sin(1e9 * x), 0.3),
+])
+@pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-300])
+def test_secant_root(f, root, tol):
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return f(x)
+    x = spectrum._secant_root(counted, 0.0, 1.0, f(0.0), f(1.0), tol)
+    # the end returned is the converged secant point, not just any point
+    # within tol
+    assert abs(x - root) <= 1e-12
+    assert x in seen and all(0.0 < y < 1.0 for y in seen)
+    # bisection alone would take 27 steps to 1e-8; a tol below the float
+    # spacing ends at adjacent floats, after bisecting the noise's sign changes
+    assert len(seen) <= (12 if tol >= 1e-12 else 64)
+
+
+def test_secant_root_falls_back_to_bisection():
+    # at a triple root the secant converges only linearly: bisecting whenever
+    # a step does not halve the step before last keeps the count within twice
+    # the 27 steps of bisection alone (65 without that rule)
+    seen = []
+    x = spectrum._secant_root(lambda y: seen.append(y) or (y - 0.3) ** 3,
+                              0.0, 1.0, -0.027, 0.343, 1e-8)
+    assert abs(x - 0.3) <= 1e-8
+    assert len(seen) <= 54
+
+
+def test_slope_root_stops_at_float_resolution(barrier84_trace, barrier84_crossing):
+    # an s_tol below the float spacing at s* cannot be met
+    cr = locate_crossing(barrier84_trace, s_tol=1e-300)
+    assert cr.s_star == pytest.approx(barrier84_crossing.s_star, abs=1e-8)
+    assert cr.g == pytest.approx(barrier84_crossing.g, abs=1e-14)
+
+
+def test_unbracketed_minimum_raises(barrier84_trace):
+    # a smallest gap planted where the slopes on both sides are negative
+    # (the trace's gap is still falling there): no cell next to it holds a
+    # minimum, and locate_crossing says so instead of reporting that point
+    delta = barrier84_trace.delta.copy()
+    j = int(np.argmin(delta)) - 10
+    delta[j] = 0.5 * delta.min()
+    bad = dataclasses.replace(barrier84_trace, delta=delta, rho=barrier84_trace.gamma / delta**2)
+    with pytest.raises(RuntimeError, match="bracket no minimum"):
+        locate_crossing(bad)
 
 
 def _flank_slope(model, lo, hi, n=40):
