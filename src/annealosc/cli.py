@@ -31,10 +31,6 @@ from .predict import (LargeGapParams, SplitParams, grover_gamma, grover_omega,
 from .spectrum import (DegenerateGroundStateError, gap_trace, locate_crossing,
                        rho_endpoints)
 
-MODES = ("gap", "sweep", "predict", "fit", "grover", "reproduce-figure")
-THREADS_ENV = "ANNEALOSC_THREADS"
-
-
 @dataclass(frozen=True)
 class TauGrid:
     min: float
@@ -137,7 +133,7 @@ def run_sweep_config(spec: ModelSpec, taus: np.ndarray, evo: EvolutionConfig) ->
     return tau_sweep(build_model(spec), taus, evo)
 
 
-_sweep_chunk = run_sweep_config  # unused; perfbench/tracing.py looks it up (ROADMAP item 3)
+_sweep_chunk = run_sweep_config  # unused; perfbench/tracing.py looks it up (ROADMAP item 7)
 
 
 def _endpoint_rhos(spec: ModelSpec, trace) -> tuple[float, float]:
@@ -277,6 +273,12 @@ def run_grover(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
                   [taus, predict_grover(spec.big_n, spec.big_m, taus)], cfg)
 
 
+# each single-config mode's runner, called as runner(cfg, out, tag)
+_RUNNERS = {"gap": run_gap, "sweep": run_sweep, "predict": run_predict,
+            "fit": run_fit, "grover": run_grover}
+MODES = (*_RUNNERS, "reproduce-figure")
+
+
 # ---------------------------------------------------------------------------
 # Figure recipes: named experiment presets with their parameters baked in.
 
@@ -345,10 +347,11 @@ def run_reproduce_figure(cfg: ExperimentConfig, out: Path, threads: int = 1) -> 
     """Run the recipe's sub-configs, whole ones on `threads` spawned workers."""
     if not cfg.figure:
         raise ValueError("reproduce-figure mode requires a figure name")
-    jobs = [(sub, out, f"_{cfg.figure}{tag}") for tag, sub in _figure_configs(cfg.figure)]
+    jobs = [(_RUNNERS[sub.mode], sub, out, f"_{cfg.figure}{tag}")
+            for tag, sub in _figure_configs(cfg.figure)]
     if threads == 1 or len(jobs) == 1:
-        for job in jobs:
-            _dispatch(*job)
+        for run, *args in jobs:
+            run(*args)
         return
     env = dict(os.environ)
     # spawned workers read these as they import numpy: n workers use n cores
@@ -356,24 +359,11 @@ def run_reproduce_figure(cfg: ExperimentConfig, out: Path, threads: int = 1) -> 
     try:
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            for future in [pool.submit(_dispatch, *job) for job in jobs]:
+            for future in [pool.submit(*job) for job in jobs]:
                 future.result()
     finally:
         os.environ.clear()
         os.environ.update(env)
-
-
-def _dispatch(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
-    if cfg.mode == "gap":
-        run_gap(cfg, out, tag)
-    elif cfg.mode == "sweep":
-        run_sweep(cfg, out, tag)
-    elif cfg.mode == "predict":
-        run_predict(cfg, out, tag)
-    elif cfg.mode == "fit":
-        run_fit(cfg, out, tag)
-    elif cfg.mode == "grover":
-        run_grover(cfg, out, tag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,23 +374,21 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", type=Path, help="JSON experiment config")
     ap.add_argument("--mode", choices=MODES, help="override config mode")
     ap.add_argument("--out", type=Path, help="output directory")
-    ap.add_argument("--threads",
+    ap.add_argument("--threads", default="1",
                     help="worker processes that run a figure recipe's sub-configs "
-                         f"in parallel (default ${THREADS_ENV} or 1)")
+                         "in parallel (default 1)")
     ap.add_argument("--figure", help="figure name for reproduce-figure mode")
     return ap
 
 
-def _thread_count(flag: str | None) -> int:
-    """--threads if given, else $ANNEALOSC_THREADS, else 1; a positive integer."""
-    source, raw = ((THREADS_ENV, os.environ.get(THREADS_ENV, "1")) if flag is None
-                   else ("--threads", flag))
+def _thread_count(flag: str) -> int:
+    """--threads as a positive integer."""
     try:
-        threads = int(raw)
+        threads = int(flag)
     except ValueError:
-        raise ValueError(f"{source} must be an integer, got {raw!r}") from None
+        raise ValueError(f"--threads must be an integer, got {flag!r}") from None
     if threads < 1:
-        raise ValueError(f"{source} must be at least 1, got {threads}")
+        raise ValueError(f"--threads must be at least 1, got {threads}")
     return threads
 
 
@@ -430,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.mode == "reproduce-figure":
             run_reproduce_figure(cfg, out, threads)
         else:
-            _dispatch(cfg, out)
+            _RUNNERS[cfg.mode](cfg, out)
     # LinAlgError subclasses ValueError, so it is caught first
     except (ConvergenceError, DegenerateGroundStateError, RuntimeError,
             np.linalg.LinAlgError) as exc:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 3
+# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 7
 from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands  # noqa: F401
 from .spectrum import _WORKSPACE_BYTES, GapTrace, _eigs, _two_lowest
@@ -268,15 +268,14 @@ def tau_sweep(model: ReducedHamiltonian, taus: np.ndarray,
                        model_label=model.label, config=cfg)
 
 
-def evolve_two_level(trace: GapTrace, tau: float, m: int = 1,
-                     rtol: float = 1e-10) -> TwoLevelAmplitudes:
+def evolve_two_level(trace: GapTrace, tau: float, m: int = 1) -> TwoLevelAmplitudes:
     """Integrate the eigenbasis amplitude equations along the trace:
 
         dC0/ds = -m C1 gamma/Delta
         dC1/ds =  C0 gamma/Delta - i tau Delta C1
 
     starting from C0=1, C1=0 (ground-state energy shifted to zero, so only
-    the gap enters the phase).
+    the gap enters the phase), by DOP853 at rtol 1e-10, atol 1e-12.
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
@@ -289,7 +288,7 @@ def evolve_two_level(trace: GapTrace, tau: float, m: int = 1,
         return [-m * c1 * k, c0 * k - 1j * tau * dspl(s) * c1]
 
     sol = solve_ivp(rhs, (0.0, 1.0), np.array([1.0 + 0j, 0.0 + 0j]),
-                    method="DOP853", rtol=rtol, atol=rtol * 1e-2)
+                    method="DOP853", rtol=1e-10, atol=1e-12)
     if not sol.success:
         raise ConvergenceError(f"two-level integration failed: {sol.message}")
     c0, c1 = sol.y[:, -1]

@@ -10,7 +10,7 @@ target and non-target basis states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -78,7 +78,6 @@ class ReducedHamiltonian:
     schedule_deriv: Callable[[float], float]
     tridiagonal: bool = False
     label: str = ""
-    spec: ModelSpec | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for m in (self.h0, self.h1):
@@ -139,7 +138,6 @@ def build_barrier_model(spec: ModelSpec) -> ReducedHamiltonian:
         dim=n + 1, h0=h0, h1=h1,
         schedule=_identity_schedule, schedule_deriv=_identity_schedule_deriv,
         tridiagonal=True, label=f"barrier(n={n},mu={spec.mu},a={spec.alpha},b={spec.beta})",
-        spec=spec,
     )
 
 
@@ -153,7 +151,7 @@ def build_nobarrier_model(spec: ModelSpec) -> ReducedHamiltonian:
     return ReducedHamiltonian(
         dim=n + 1, h0=h0, h1=h1,
         schedule=_identity_schedule, schedule_deriv=_identity_schedule_deriv,
-        tridiagonal=True, label=f"nobarrier(n={n},mu={spec.mu})", spec=spec,
+        tridiagonal=True, label=f"nobarrier(n={n},mu={spec.mu})",
     )
 
 
@@ -168,7 +166,7 @@ def build_cubic_model(spec: ModelSpec) -> ReducedHamiltonian:
     return ReducedHamiltonian(
         dim=n + 1, h0=h0, h1=h1,
         schedule=_identity_schedule, schedule_deriv=_identity_schedule_deriv,
-        tridiagonal=True, label=f"cubic(n={n})", spec=spec,
+        tridiagonal=True, label=f"cubic(n={n})",
     )
 
 
@@ -210,7 +208,7 @@ def build_grover_model(spec: ModelSpec) -> ReducedHamiltonian:
 
     return ReducedHamiltonian(
         dim=2, h0=h0, h1=h1, schedule=sched, schedule_deriv=sched_deriv,
-        tridiagonal=False, label=f"grover(N={big_n},M={big_m})", spec=spec,
+        tridiagonal=False, label=f"grover(N={big_n},M={big_m})",
     )
 
 
@@ -227,8 +225,9 @@ def build_model(spec: ModelSpec) -> ReducedHamiltonian:
 
 
 def _check_s(s) -> None:
+    """Raise ValueError unless every s lies in [0, 1] (NaN does not)."""
     s = np.asarray(s, float)
-    if np.any(s < 0.0) or np.any(s > 1.0):
+    if not np.all((s >= 0.0) & (s <= 1.0)):
         raise ValueError(f"s must lie in [0, 1], got {s}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import grover_schedule
+from .models import _check_s, grover_schedule
 from .spectrum import CrossingParams, GapTrace
 
 
@@ -32,7 +32,8 @@ class LargeGapParams:
 
 @dataclass(frozen=True)
 class SplitParams:
-    """Inputs to the frequency-split ansatz.  A may be None until fitted."""
+    """Inputs to the frequency-split ansatz.  A may be None until fitted,
+    and may be negative, but not NaN or infinite."""
 
     rho0: float
     rho1: float
@@ -48,6 +49,8 @@ class SplitParams:
             raise ValueError("omega_minus and omega_plus must be positive")
         if self.g <= 0 or (self.v is not None and not self.v > 0):
             raise ValueError("g and v must be positive")
+        if self.A is not None and not math.isfinite(self.A):
+            raise ValueError(f"A must be finite, got {self.A}")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
 
@@ -138,7 +141,7 @@ def split_params_from_crossing(crossing: CrossingParams, rho0: float, rho1: floa
                        A=A, m=m)
 
 
-def amplitude_integral(trace: GapTrace, tau: float, oversample: float = 12.0) -> complex:
+def amplitude_integral(trace: GapTrace, tau: float) -> complex:
     """Oscillatory integral for the final excited amplitude,
 
         C1(1, tau) = int_0^1 ds (gamma/Delta) exp(-i tau int_s^1 Delta dz),
@@ -154,8 +157,9 @@ def amplitude_integral(trace: GapTrace, tau: float, oversample: float = 12.0) ->
     phase_to_one = dspl.antiderivative()
     total = float(phase_to_one(1.0))
 
-    # resolve both the amplitude structure and the phase oscillation
-    n = int(max(2000, oversample * tau * total, 4 * len(trace.s)))
+    # resolve both the amplitude structure and the phase oscillation: at least
+    # 12 cells per radian of total phase
+    n = int(max(2000, 12.0 * tau * total, 4 * len(trace.s)))
     s = np.linspace(0.0, 1.0, n + 1)
     f = coup(s)
     phi = tau * (total - phase_to_one(s))  # phase(s) = tau * int_s^1 Delta
@@ -192,8 +196,9 @@ def grover_omega(big_n: int, big_m: int) -> float:
 
 
 def grover_period(big_n: int, big_m: int) -> float:
-    """Oscillation period T = 1/omega."""
-    return 1.0 / grover_omega(big_n, big_m)
+    """Oscillation period T = 2 pi / omega in tau: predict_grover's
+    sin^2(omega tau / 2) repeats with it."""
+    return 2.0 * math.pi / grover_omega(big_n, big_m)
 
 
 def grover_gap(big_n: int, big_m: int, s):
@@ -210,9 +215,8 @@ def grover_gamma(big_n: int, big_m: int, s):
     arctan(sqrt((N-M)/M))."""
     if not 1 <= big_m < big_n:
         raise ValueError(f"need 1 <= M < N, got M={big_m}, N={big_n}")
+    _check_s(s)
     s = np.asarray(s, float)
-    if np.any(s < 0) or np.any(s > 1):
-        raise ValueError("s must lie in [0, 1]")
     _, gp = grover_schedule(big_n, big_m)
     out = gp(s) * math.sqrt(big_m * (big_n - big_m)) / (big_n * grover_gap(big_n, big_m, s))
     return float(out) if np.ndim(out) == 0 else out

@@ -34,7 +34,7 @@ import numpy as np
 from scipy import interpolate
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
-from .models import ReducedHamiltonian
+from .models import ReducedHamiltonian, _check_s
 # unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 7
 from scipy.linalg import eigh  # noqa: F401
 from .models import hamiltonian_at, tridiagonal_bands  # noqa: F401
@@ -145,8 +145,7 @@ def _eigs(model: ReducedHamiltonian, g, lowest: int | None = None
 
 
 def _two_lowest(model: ReducedHamiltonian, s: float) -> tuple[np.ndarray, np.ndarray]:
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
+    _check_s(s)
     w, v = _eigs(model, np.atleast_1d(model.schedule(s)), 2)
     return w[0], v[0]
 
@@ -224,16 +223,21 @@ def _crossing_refine_grid(s_grid: np.ndarray, delta: np.ndarray, n_extra: int) -
     return extra[np.minimum(left, right) > 1e-9 * (left + right)]
 
 
+# points gap_trace adds around an interior gap minimum of its uniform grid
+_N_REFINE = 160
+
+
 def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
-              n_points: int = 201, refine: bool = True,
-              n_refine: int = 160) -> GapTrace:
+              n_points: int = 201) -> GapTrace:
     """Sample the two lowest levels along s with a sign-continuous gauge.
 
-    A uniform base grid is used unless `grid` is given; when `refine` is set
-    and the gap has an interior minimum, extra points are inserted around it.
-    The grid and the refinement points are each decomposed in one batch.
+    A given `grid` is used as given.  Otherwise the grid is n_points uniform
+    points, and when the gap has an interior minimum _N_REFINE more are
+    inserted around it.  The grid and the refinement points are each
+    decomposed in one batch.
     """
-    if grid is None:
+    refine = grid is None
+    if refine:
         if n_points < 64:
             raise ValueError("need at least 64 grid points")
         grid = np.linspace(0.0, 1.0, n_points)
@@ -244,7 +248,7 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
     lam, vecs = _eigs(model, model.schedule(grid), 2)
     if np.any(lam[:, 1] <= lam[:, 0]):
         raise DegenerateGroundStateError("nonpositive gap on coarse grid")
-    extra = _crossing_refine_grid(grid, lam[:, 1] - lam[:, 0], n_refine) if refine else grid[:0]
+    extra = _crossing_refine_grid(grid, lam[:, 1] - lam[:, 0], _N_REFINE) if refine else grid[:0]
     if extra.size:
         lam_x, vecs_x = _eigs(model, model.schedule(extra), 2)
         order = np.argsort(np.concatenate([grid, extra]))
@@ -552,9 +556,8 @@ def nobarrier_gap(s, mu_sq: float):
     mu_sq is the square of the model's ModelSpec.mu."""
     if mu_sq <= 0:
         raise ValueError("mu_sq (the square of ModelSpec.mu) must be positive")
+    _check_s(s)
     s = np.asarray(s, float)
-    if np.any(s < 0) or np.any(s > 1):
-        raise ValueError("s must lie in [0, 1]")
     out = np.sqrt(1.0 - 2.0 * s + (1.0 + mu_sq) * s**2)
     return float(out) if out.ndim == 0 else out
 

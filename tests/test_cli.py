@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import annealosc
 from annealosc import cli, spectrum
 from annealosc.cli import (ExperimentConfig, TauGrid, _figure_configs, _recipe,
                            config_hash, main)
@@ -60,7 +63,9 @@ def test_non_finite_model_values_exit_1(tmp_path, capsys, name, value):
 
 
 @pytest.mark.parametrize("prediction", [{"A": 0.5, "m": 0},
-                                        {"A": 0.5, "V": 3}])
+                                        {"A": 0.5, "V": 3},
+                                        {"A": math.nan},
+                                        {"A": math.inf}])
 def test_bad_prediction_overrides_exit_1(tmp_path, prediction):
     payload = {"mode": "predict", "prediction": prediction,
                "model": {"kind": "barrier", "n": 16, "mu": 1.0,
@@ -77,6 +82,13 @@ def test_config_from_dict_rejects_unknown_fields():
                                     "bogus": 1})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"mode": "mystery"})
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib: the package supports Python 3.10
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    assert version == annealosc.__version__
 
 
 def test_config_hash_sensitivity():
@@ -102,16 +114,8 @@ def test_missing_model_rejected(tmp_path, capsys, mode):
     assert "requires a model" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
-def test_bad_threads_env_rejected(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("ANNEALOSC_THREADS", value)
-    assert main(["--mode", "gap", "--out", str(tmp_path)]) == 1
-    assert "error: ANNEALOSC_THREADS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_bad_threads_flag_rejected(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("ANNEALOSC_THREADS", "2")
+def test_bad_threads_flag_rejected(tmp_path, capsys, value):
     assert main(["--mode", "gap", "--threads", value, "--out", str(tmp_path)]) == 1
     assert "error: --threads" in capsys.readouterr().err
 
@@ -211,7 +215,7 @@ def test_grover_mode(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
     info = json.loads((tmp_path / "grover.json").read_text())
     assert info["omega"] == pytest.approx(0.2394257806110935, abs=1e-12)
-    assert info["period"] == pytest.approx(1.0 / info["omega"], rel=1e-12)
+    assert info["period"] == pytest.approx(2.0 * math.pi / info["omega"], rel=1e-12)
     assert info["rho"] == pytest.approx(math.atan(math.sqrt(63)), abs=1e-12)
     assert (tmp_path / "grover_prediction.csv").exists()
 

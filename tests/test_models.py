@@ -135,6 +135,10 @@ def test_hamiltonian_rejects_out_of_range(nobarrier1):
         hamiltonian_at(nobarrier1, -0.01)
     with pytest.raises(ValueError):
         hamiltonian_at(nobarrier1, 1.01)
+    with pytest.raises(ValueError):
+        hamiltonian_at(nobarrier1, math.nan)
+    with pytest.raises(ValueError):
+        tridiagonal_bands(nobarrier1, math.nan)
 
 
 def test_dh_ds_constant_for_linear_schedule(nobarrier1):

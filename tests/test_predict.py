@@ -224,10 +224,19 @@ def test_grover_omega_matches_trace_quadrature(big_n, big_m):
 
 
 def test_grover_period_asymptote():
+    # pi sqrt(N) / ln(4N) is the large-N form of 1/omega, not of the period
     big_n = 10**6
-    t = grover_period(big_n, 1)
+    t = 1.0 / grover_omega(big_n, 1)
     asym = math.pi * math.sqrt(big_n) / (2 * math.log(2) + math.log(big_n))
     assert abs(t - asym) / t < 0.05
+
+
+def test_grover_period_spaces_prediction_minima():
+    taus = np.linspace(100.0, 500.0, 400_001)
+    p = predict_grover(64, 1, taus)
+    minima = taus[1:-1][(p[1:-1] < p[:-2]) & (p[1:-1] <= p[2:])]
+    assert len(minima) >= 10
+    assert np.diff(minima) == pytest.approx(grover_period(64, 1), rel=1e-3)
 
 
 def test_grover_gap_closed_form(grover64):
@@ -245,6 +254,9 @@ def test_grover_gamma_symmetry_and_endpoints(grover64):
     theta = math.atan(math.sqrt(63))
     assert grover_gamma(64, 1, 0.0) == pytest.approx(theta, abs=1e-12)
     assert grover_gamma(64, 1, 1.0) == pytest.approx(theta, abs=1e-12)
+    for bad in (1.5, math.nan):
+        with pytest.raises(ValueError):
+            grover_gamma(64, 1, bad)
 
 
 def test_grover_gamma_matches_matrix_element(grover64):

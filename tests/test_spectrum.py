@@ -62,8 +62,9 @@ def test_nobarrier_gap_closed_form_values():
     assert nobarrier_gap(0.5, 1.0) == pytest.approx(math.sqrt(0.5), abs=1e-15)
     with pytest.raises(ValueError):
         nobarrier_gap(0.5, -1.0)
-    with pytest.raises(ValueError):
-        nobarrier_gap(1.5, 1.0)
+    for bad in (1.5, math.nan):
+        with pytest.raises(ValueError):
+            nobarrier_gap(bad, 1.0)
 
 
 def test_nobarrier_gap_takes_mu_squared():
@@ -157,7 +158,7 @@ def test_refined_trace_decomposes_each_point_once(monkeypatch):
     trace = gap_trace(model)
     assert len(calls) == len(trace.s) > 201
     monkeypatch.undo()
-    fresh = gap_trace(model, grid=trace.s, refine=False)
+    fresh = gap_trace(model, grid=trace.s)  # a given grid is used as given
     for name in ("lambda0", "lambda1", "delta", "gamma", "rho", "vec0", "vec1"):
         assert np.array_equal(getattr(trace, name), getattr(fresh, name)), name
 
@@ -570,15 +571,17 @@ def test_gauge_continuity_flag():
     # resolves it (0.999) but not the 1-2 crossing near s = 0.45, where the
     # first excited state turns by 76 degrees (0.24); 801 points resolve both
     model = build_model(ModelSpec(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8))
-    assert not gap_trace(model, n_points=64, refine=False).gauge_continuous
+    coarse = gap_trace(model, grid=np.linspace(0.0, 1.0, 64))  # used as given
+    assert len(coarse.s) == 64 and not coarse.gauge_continuous
     assert not gap_trace(model).gauge_continuous
     assert gap_trace(model, n_points=801).gauge_continuous
 
 
 def test_scalar_spectrum_validates_s(barrier84, grover64):
     for model in (barrier84, grover64):
-        with pytest.raises(ValueError):
-            gap_at(model, 1.5)
+        for bad in (1.5, math.nan):
+            with pytest.raises(ValueError):
+                gap_at(model, bad)
         with pytest.raises(ValueError):
             ground_state(model, -0.1)
 
