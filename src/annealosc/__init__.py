@@ -1,15 +1,14 @@
 """Near-adiabatic annealing simulations and leakage-oscillation analysis."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .models import (ModelSpec, ReducedHamiltonian, build_barrier_model,
                      build_cubic_model, build_grover_model,
                      build_nobarrier_model, build_model, hamiltonian_at)
 from .spectrum import (CrossingParams, GapTrace, gap_trace, locate_crossing,
-                       nobarrier_gap, rho_endpoints)
-from .evolve import (EvolutionConfig, SweepResult, TwoLevelAmplitudes,
-                     evolve_schrodinger, evolve_two_level, ground_state,
-                     tau_sweep, transition_probability)
+                       rho_endpoints)
+from .evolve import (EvolutionConfig, SweepResult, ground_state, tau_sweep,
+                     transition_probability)
 from .predict import (LargeGapParams, SplitParams, amplitude_integral,
                       grover_gamma, grover_omega, landau_zener_amplitude,
                       predict_grover, predict_large_gap, predict_split)

@@ -78,6 +78,10 @@ class ExperimentConfig:
         extra = set(self.prediction) - {"A", "v", "m"}
         if extra:
             raise ValueError(f"unknown prediction fields: {sorted(extra)}")
+        # predict and fit modes read m as given: a float is not truncated
+        m = self.prediction.get("m", 1)
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise ValueError(f"prediction.m must be an integer >= 1, got {m!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -196,7 +200,7 @@ def run_predict(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
         raise ValueError("predict mode requires a tau_grid")
     taus = cfg.tau_grid.values()
     spec = cfg.model
-    m = int(cfg.prediction.get("m", _default_m(spec)))
+    m = cfg.prediction.get("m", _default_m(spec))
     if spec.kind == "grover":
         probs = predict_grover(spec.big_n, spec.big_m, taus)
         params = {"model": "grover", "omega": grover_omega(spec.big_n, spec.big_m),
@@ -241,7 +245,7 @@ def run_fit(cfg: ExperimentConfig, out: Path, tag: str = "",
         if cfg.tau_grid is None:
             raise ValueError("fit mode requires a tau_grid (inline sweep generation)")
         sweep = run_sweep_config(spec, cfg.tau_grid.values(), cfg.evolution)
-    m = int(cfg.prediction.get("m", _default_m(spec)))
+    m = cfg.prediction.get("m", _default_m(spec))
     if cfg.fit_vary_v:
         p = _split_params(spec, trace, crossing, v=crossing.v, m=m)
         result = fit_A_v(sweep, p)

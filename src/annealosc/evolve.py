@@ -39,12 +39,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 # unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 7
 from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands  # noqa: F401
-from .spectrum import _WORKSPACE_BYTES, GapTrace, _eigs, _two_lowest
+from .spectrum import _WORKSPACE_BYTES, _eigs, _two_lowest
 
 
 class ConvergenceError(RuntimeError):
@@ -87,17 +86,6 @@ class SweepResult:
             raise ValueError("probabilities must lie in [0, 1]")
         self.taus.setflags(write=False)
         self.probs.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class TwoLevelAmplitudes:
-    c0: complex
-    c1: complex
-    m: int
-
-    @property
-    def p_leak(self) -> float:
-        return self.m * abs(self.c1) ** 2
 
 
 def ground_state(model: ReducedHamiltonian, s: float) -> np.ndarray:
@@ -232,17 +220,6 @@ def _evolve_batch(model, taus, cfg):
     return final
 
 
-def evolve_schrodinger(model: ReducedHamiltonian, tau: float,
-                       cfg: EvolutionConfig = EvolutionConfig()) -> np.ndarray:
-    """Final state at s=1 starting from the s=0 ground state."""
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be positive and finite")
-    psi = _evolve_batch(model, np.array([tau]), cfg)[:, 0]
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ConvergenceError("final state norm deviates by more than 1e-10")
-    return psi
-
-
 def _leakage(phi0: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """1 - |<phi0|psi>|^2 for a state or each column of psi, as the squared norm
     of psi's part orthogonal to phi0 (no cancellation at small P), at most 1."""
@@ -266,32 +243,3 @@ def tau_sweep(model: ReducedHamiltonian, taus: np.ndarray,
     probs = _leakage(ground_state(model, 1.0), _evolve_batch(model, taus, cfg))
     return SweepResult(taus=taus.copy(), probs=probs,
                        model_label=model.label, config=cfg)
-
-
-def evolve_two_level(trace: GapTrace, tau: float, m: int = 1) -> TwoLevelAmplitudes:
-    """Integrate the eigenbasis amplitude equations along the trace:
-
-        dC0/ds = -m C1 gamma/Delta
-        dC1/ds =  C0 gamma/Delta - i tau Delta C1
-
-    starting from C0=1, C1=0 (ground-state energy shifted to zero, so only
-    the gap enters the phase), by DOP853 at rtol 1e-10, atol 1e-12.
-    """
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be positive and finite")
-    coup = trace.coupling_spline()
-    dspl = trace.delta_spline()
-
-    def rhs(s, y):
-        c0, c1 = y
-        k = coup(s)
-        return [-m * c1 * k, c0 * k - 1j * tau * dspl(s) * c1]
-
-    sol = solve_ivp(rhs, (0.0, 1.0), np.array([1.0 + 0j, 0.0 + 0j]),
-                    method="DOP853", rtol=1e-10, atol=1e-12)
-    if not sol.success:
-        raise ConvergenceError(f"two-level integration failed: {sol.message}")
-    c0, c1 = sol.y[:, -1]
-    if abs(c0) ** 2 + m * abs(c1) ** 2 > 1.0 + 1e-6:
-        raise ConvergenceError("two-level amplitudes exceed unit probability")
-    return TwoLevelAmplitudes(c0=complex(c0), c1=complex(c1), m=m)

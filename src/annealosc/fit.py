@@ -224,14 +224,3 @@ def fit_A_v(sweep: SweepResult, p: SplitParams, a_max: float = 2.0,
                   or not (v_range[0] * 1.001 < v_hat < v_range[1] * 0.999))
     return FitResult(a_hat=a_hat, v_hat=v_hat, rms_residual=_rms(resid),
                      n_points=len(taus), converged=not degenerate)
-
-
-def fit_single_frequency(sweep: SweepResult, p: SplitParams) -> float:
-    """RMS residual of the best single-frequency model: the large-gap form
-    with omega = omega_- + omega_+ and a free overall amplitude (linear
-    least squares).  Used as the nested-model baseline."""
-    taus, probs = sweep.taus, sweep.probs
-    omega = p.omega_minus + p.omega_plus
-    basis = (p.rho0**2 + p.rho1**2 - 2 * p.rho0 * p.rho1 * np.cos(omega * taus)) / taus**2
-    c = float(basis @ probs / (basis @ basis))
-    return _rms(probs - c * basis)

@@ -47,8 +47,10 @@ class SplitParams:
     def __post_init__(self):
         if self.omega_minus <= 0 or self.omega_plus <= 0:
             raise ValueError("omega_minus and omega_plus must be positive")
-        if self.g <= 0 or (self.v is not None and not self.v > 0):
-            raise ValueError("g and v must be positive")
+        if self.g <= 0:
+            raise ValueError("g must be positive")
+        if self.v is not None and not 0 < self.v < math.inf:
+            raise ValueError(f"v must be positive and finite, got {self.v}")
         if self.A is not None and not math.isfinite(self.A):
             raise ValueError(f"A must be finite, got {self.A}")
         if self.m < 1:

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import interpolate
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .models import ReducedHamiltonian, _check_s
@@ -190,7 +189,9 @@ class GapTrace:
             a.setflags(write=False)
 
     def delta_spline(self):
-        return interpolate.CubicSpline(self.s, self.delta)
+        # imported on first use, so that importing the package skips scipy.interpolate
+        from scipy.interpolate import CubicSpline
+        return CubicSpline(self.s, self.delta)
 
     def coupling_spline(self):
         """Cubic spline of gamma(s)/Delta(s); refused when the gauge is not
@@ -200,7 +201,9 @@ class GapTrace:
                 "eigenvector gauge not continuous on this grid (an eigenvector "
                 "turns over 45 degrees in one cell): gamma's sign is not "
                 "trustworthy; trace with more n_points")
-        return interpolate.CubicSpline(self.s, self.gamma / self.delta)
+        # imported on first use, so that importing the package skips scipy.interpolate
+        from scipy.interpolate import CubicSpline
+        return CubicSpline(self.s, self.gamma / self.delta)
 
 
 def _crossing_refine_grid(s_grid: np.ndarray, delta: np.ndarray, n_extra: int) -> np.ndarray:
@@ -549,17 +552,6 @@ def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
     v = math.sqrt(max(curv / 2.0, 0.0))
     return CrossingParams(kind="avoided", s_star=s_star, g=g, v=v,
                           omega_minus=omega_minus, omega_plus=omega_plus)
-
-
-def nobarrier_gap(s, mu_sq: float):
-    """Closed-form no-barrier gap sqrt(1 - 2s + (1 + mu_sq) s**2), where
-    mu_sq is the square of the model's ModelSpec.mu."""
-    if mu_sq <= 0:
-        raise ValueError("mu_sq (the square of ModelSpec.mu) must be positive")
-    _check_s(s)
-    s = np.asarray(s, float)
-    out = np.sqrt(1.0 - 2.0 * s + (1.0 + mu_sq) * s**2)
-    return float(out) if out.ndim == 0 else out
 
 
 def rho_endpoints(trace: GapTrace) -> tuple[float, float]:

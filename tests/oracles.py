@@ -11,18 +11,24 @@ gap_integrals_reference, scipy's quad on the scalar gap, which checks the
 batched Gauss-Kronrod gap integrals, and fit_A_v_golden, the golden-section
 search of the fit profile that the joint fit used before its slope root, on
 the package's own profile.
-The helpers eigensystem_lowest, dH_ds, gamma_at and golden_min left the
-package when no code in it called them any more; they live here for the tests
-that use them.
+The helpers eigensystem_lowest, dH_ds, gamma_at, golden_min, nobarrier_gap,
+evolve_schrodinger, evolve_two_level (with its TwoLevelAmplitudes) and
+fit_single_frequency left the package when no code in it called them any
+more; they live here for the tests that use them.  evolve_schrodinger is the
+package's CF4 sweep for one tau, with a norm check; evolve_two_level is the
+DOP853 eigenbasis cross-check of the amplitude integral and of the reduced
+sweeps, next to the full-space DOP853 oracle integrate_schrodinger_full.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from annealosc import fit
+from annealosc.evolve import ConvergenceError, EvolutionConfig, _evolve_batch
 from annealosc.models import _check_s, hamiltonian_at, tridiagonal_bands
 from annealosc.predict import predict_split
 from annealosc.spectrum import (DegenerateGroundStateError, GapTrace,
@@ -130,6 +136,28 @@ def gap_integrals_reference(model, s_star):
     return side(0.0, s_star), side(s_star, 1.0)
 
 
+def nobarrier_gap(s, mu_sq):
+    """Closed-form no-barrier gap sqrt(1 - 2s + (1 + mu_sq) s**2), where
+    mu_sq is the square of the model's ModelSpec.mu."""
+    if mu_sq <= 0:
+        raise ValueError("mu_sq (the square of ModelSpec.mu) must be positive")
+    _check_s(s)
+    s = np.asarray(s, float)
+    out = np.sqrt(1.0 - 2.0 * s + (1.0 + mu_sq) * s**2)
+    return float(out) if out.ndim == 0 else out
+
+
+def fit_single_frequency(sweep, p):
+    """RMS residual of the best single-frequency model: the large-gap form
+    with omega = omega_- + omega_+ and a free overall amplitude (linear
+    least squares).  Used as the nested-model baseline."""
+    taus, probs = sweep.taus, sweep.probs
+    omega = p.omega_minus + p.omega_plus
+    basis = (p.rho0**2 + p.rho1**2 - 2 * p.rho0 * p.rho1 * np.cos(omega * taus)) / taus**2
+    c = float(basis @ probs / (basis @ basis))
+    return fit._rms(probs - c * basis)
+
+
 def full_qubit_hamiltonians(n, f_of_k):
     """Dense 2^n endpoint matrices: H0 = (1/2) sum_i sigma_x^(i),
     H1 = diag(f(popcount(z)))."""
@@ -176,6 +204,57 @@ def integrate_schrodinger_full(h_of_s, psi0, tau, rtol=1e-11):
                     rtol=rtol, atol=rtol * 1e-2)
     assert sol.success
     return sol.y[:, -1]
+
+
+def evolve_schrodinger(model, tau, cfg=EvolutionConfig()):
+    """Final state at s=1 starting from the s=0 ground state, by the package's
+    CF4 sweep for the one tau."""
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+    psi = _evolve_batch(model, np.array([tau]), cfg)[:, 0]
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ConvergenceError("final state norm deviates by more than 1e-10")
+    return psi
+
+
+@dataclass(frozen=True)
+class TwoLevelAmplitudes:
+    c0: complex
+    c1: complex
+    m: int
+
+    @property
+    def p_leak(self) -> float:
+        return self.m * abs(self.c1) ** 2
+
+
+def evolve_two_level(trace, tau, m=1):
+    """Integrate the eigenbasis amplitude equations along the trace:
+
+        dC0/ds = -m C1 gamma/Delta
+        dC1/ds =  C0 gamma/Delta - i tau Delta C1
+
+    starting from C0=1, C1=0 (ground-state energy shifted to zero, so only
+    the gap enters the phase), by DOP853 at rtol 1e-10, atol 1e-12.
+    """
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+    coup = trace.coupling_spline()
+    dspl = trace.delta_spline()
+
+    def rhs(s, y):
+        c0, c1 = y
+        k = coup(s)
+        return [-m * c1 * k, c0 * k - 1j * tau * dspl(s) * c1]
+
+    sol = solve_ivp(rhs, (0.0, 1.0), np.array([1.0 + 0j, 0.0 + 0j]),
+                    method="DOP853", rtol=1e-10, atol=1e-12)
+    if not sol.success:
+        raise ConvergenceError(f"two-level integration failed: {sol.message}")
+    c0, c1 = sol.y[:, -1]
+    if abs(c0) ** 2 + m * abs(c1) ** 2 > 1.0 + 1e-6:
+        raise ConvergenceError("two-level amplitudes exceed unit probability")
+    return TwoLevelAmplitudes(c0=complex(c0), c1=complex(c1), m=m)
 
 
 def cf4_reference(model, taus, n_substeps, psi0):

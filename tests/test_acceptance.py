@@ -17,18 +17,18 @@ from annealosc import (ModelSpec, build_model, gap_trace, locate_crossing,
                        tau_sweep)
 from annealosc import cli
 from annealosc.cli import main
-from annealosc.evolve import (EvolutionConfig, _propagate,
-                              evolve_schrodinger, evolve_two_level,
-                              ground_state, transition_probability)
-from annealosc.fit import fit_A, fit_A_v, fit_single_frequency
+from annealosc.evolve import (EvolutionConfig, _propagate, ground_state,
+                              transition_probability)
+from annealosc.fit import fit_A, fit_A_v
 from annealosc.models import hamiltonian_at
 from annealosc.predict import (LargeGapParams, SplitParams, grover_gamma,
                                grover_omega, predict_grover,
                                predict_large_gap, predict_split,
                                split_params_from_crossing)
-from annealosc.spectrum import nobarrier_gap, rho_endpoints
-from oracles import (full_grover_hamiltonian, full_qubit_hamiltonians,
-                     symmetric_sector_eigenvalues)
+from annealosc.spectrum import rho_endpoints
+from oracles import (evolve_schrodinger, evolve_two_level, fit_single_frequency,
+                     full_grover_hamiltonian, full_qubit_hamiltonians,
+                     nobarrier_gap, symmetric_sector_eigenvalues)
 from test_cli import _cheap_recipe
 
 

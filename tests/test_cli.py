@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +67,9 @@ def test_non_finite_model_values_exit_1(tmp_path, capsys, name, value):
 @pytest.mark.parametrize("prediction", [{"A": 0.5, "m": 0},
                                         {"A": 0.5, "V": 3},
                                         {"A": math.nan},
-                                        {"A": math.inf}])
+                                        {"A": math.inf},
+                                        # infinite v: Landau-Zener factor 1 at every tau
+                                        {"A": 0.1, "v": math.inf}])
 def test_bad_prediction_overrides_exit_1(tmp_path, prediction):
     payload = {"mode": "predict", "prediction": prediction,
                "model": {"kind": "barrier", "n": 16, "mu": 1.0,
@@ -74,6 +78,21 @@ def test_bad_prediction_overrides_exit_1(tmp_path, prediction):
     cfg = _write_config(tmp_path, payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert not (tmp_path / "prediction.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["predict", "fit"])
+@pytest.mark.parametrize("m", [2.7, 1e300, 2.0, True, "3", None],
+                         ids=["2.7", "1e300", "2.0", "true", "string", "null"])
+def test_prediction_m_must_be_a_json_integer(tmp_path, capsys, mode, m):
+    # a float m is rejected, not truncated: m = 1e300 would scale P up to 1e298
+    payload = {"mode": mode, "prediction": {"A": 0.5, "m": m},
+               "model": {"kind": "barrier", "n": 16, "mu": 1.0,
+                         "alpha": 0.3, "beta": 0.5},
+               "tau_grid": {"min": 20.0, "max": 60.0, "count": 5}}
+    cfg = _write_config(tmp_path, payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "prediction.m must be an integer >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_config_from_dict_rejects_unknown_fields():
@@ -89,6 +108,20 @@ def test_version_matches_pyproject():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
     assert version == annealosc.__version__
+
+
+def test_import_loads_no_scipy_subpackage_but_linalg():
+    # a fresh interpreter, so no other test's imports count
+    src = str(Path(annealosc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, annealosc, annealosc.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert "scipy.linalg" in loaded
+    heavy = {"scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.special"}
+    assert not loaded & heavy
 
 
 def test_config_hash_sensitivity():

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from annealosc import (EvolutionConfig, ModelSpec, build_model,
-                       evolve_schrodinger, evolve_two_level, ground_state,
+from annealosc import (EvolutionConfig, ModelSpec, build_model, ground_state,
                        tau_sweep, transition_probability)
 from annealosc import evolve, spectrum
 from annealosc.cli import main
@@ -14,7 +13,8 @@ from annealosc.models import hamiltonian_at
 from annealosc.predict import amplitude_integral
 from annealosc.spectrum import gap_trace
 
-from oracles import cf4_reference, integrate_schrodinger_full
+from oracles import (cf4_reference, evolve_schrodinger, evolve_two_level,
+                     integrate_schrodinger_full)
 
 from test_spectrum import OMEGA_NB_MU1
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from annealosc import SplitParams, fit, predict_split
 from annealosc.evolve import EvolutionConfig, SweepResult
-from annealosc.fit import FitResult, fit_A, fit_A_v, fit_single_frequency
+from annealosc.fit import FitResult, fit_A, fit_A_v
 
-from oracles import exact_A_reference, fit_A_v_golden, golden_min
+from oracles import (exact_A_reference, fit_A_v_golden, fit_single_frequency,
+                     golden_min)
 
 BASE = SplitParams(rho0=0.5, rho1=1.0, omega_minus=0.3, omega_plus=0.5,
                    g=0.25, v=0.5, A=None, m=1)

@@ -10,13 +10,13 @@ from scipy.interpolate import CubicSpline
 from annealosc import (LargeGapParams, ModelSpec, SplitParams, build_model,
                        gap_trace, predict_grover, predict_large_gap,
                        predict_split)
-from annealosc.evolve import evolve_two_level
 from annealosc.predict import (amplitude_integral, grover_gamma, grover_gap,
                                grover_omega, grover_period,
                                landau_zener_amplitude,
                                split_params_from_crossing)
 from annealosc.spectrum import CrossingParams
 
+from oracles import evolve_two_level
 from test_spectrum import OMEGA_NB_MU1
 
 GROVER_OMEGA_64_1 = 0.2394257806110935  # frozen from the closed form

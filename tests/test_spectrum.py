@@ -7,14 +7,14 @@ from scipy import interpolate, optimize
 from scipy.integrate import quad
 
 from annealosc import (ModelSpec, build_model, gap_trace, ground_state,
-                       locate_crossing, nobarrier_gap, rho_endpoints)
+                       locate_crossing, rho_endpoints)
 from annealosc import spectrum
 from annealosc.models import ReducedHamiltonian, hamiltonian_at
 from annealosc.spectrum import DegenerateGroundStateError, gap_at
 
 from oracles import (eigensystem_lowest, full_qubit_hamiltonians, gamma_at,
                      gap_integrals_reference, gap_trace_reference,
-                     symmetric_sector_eigenvalues)
+                     nobarrier_gap, symmetric_sector_eigenvalues)
 
 # analytic antiderivative of sqrt(1 - 2s + 2s^2): with u = s - 1/2,
 # int sqrt(2u^2 + 1/2) du = (u/2) sqrt(2u^2 + 1/2)
