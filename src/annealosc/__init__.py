@@ -1,6 +1,6 @@
 """Near-adiabatic annealing simulations and leakage-oscillation analysis."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .models import (ModelSpec, ReducedHamiltonian, build_barrier_model,
                      build_cubic_model, build_grover_model,

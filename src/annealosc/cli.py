@@ -137,7 +137,7 @@ def run_sweep_config(spec: ModelSpec, taus: np.ndarray, evo: EvolutionConfig) ->
     return tau_sweep(build_model(spec), taus, evo)
 
 
-_sweep_chunk = run_sweep_config  # unused; perfbench/tracing.py looks it up (ROADMAP item 7)
+_sweep_chunk = run_sweep_config  # unused; perfbench/tracing.py looks it up (ROADMAP item 2)
 
 
 def _endpoint_rhos(spec: ModelSpec, trace) -> tuple[float, float]:
@@ -156,11 +156,6 @@ def _default_m(spec: ModelSpec) -> int:
     full qubit space; paired with the per-state endpoint rhos this makes the
     fitted amplitude A comparable across n (pure Landau-Zener gives A = 1)."""
     return spec.n if spec.kind == "barrier" else 1
-
-
-def _split_params(spec: ModelSpec, trace, crossing, A=None, v=None, m=1) -> SplitParams:
-    rho0, rho1 = _endpoint_rhos(spec, trace)
-    return split_params_from_crossing(crossing, rho0, rho1, A=A, v=v, m=m)
 
 
 def run_gap(cfg: ExperimentConfig, out: Path, tag: str = "") -> dict:
@@ -217,7 +212,7 @@ def run_predict(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
                     "avoided crossing detected: set prediction.A in the config "
                     "(run fit mode to estimate it)")
             v = cfg.prediction.get("v")
-            p = _split_params(spec, trace, crossing, A=A, v=v, m=m)
+            p = split_params_from_crossing(crossing, rho0, rho1, A=A, v=v, m=m)
             probs = predict_split(p, taus)
             params = {"model": "split", "A": p.A, "g": p.g, "v": p.v,
                       "omega_minus": p.omega_minus, "omega_plus": p.omega_plus,
@@ -246,12 +241,13 @@ def run_fit(cfg: ExperimentConfig, out: Path, tag: str = "",
             raise ValueError("fit mode requires a tau_grid (inline sweep generation)")
         sweep = run_sweep_config(spec, cfg.tau_grid.values(), cfg.evolution)
     m = cfg.prediction.get("m", _default_m(spec))
+    rho0, rho1 = _endpoint_rhos(spec, trace)
     if cfg.fit_vary_v:
-        p = _split_params(spec, trace, crossing, v=crossing.v, m=m)
+        p = split_params_from_crossing(crossing, rho0, rho1, v=crossing.v, m=m)
         result = fit_A_v(sweep, p)
         p = p.with_values(A=result.a_hat, v=result.v_hat)
     else:
-        p = _split_params(spec, trace, crossing, m=m)
+        p = split_params_from_crossing(crossing, rho0, rho1, m=m)
         result = fit_A(sweep, p)
         p = p.with_values(A=result.a_hat)
     write_json(out / f"fit{tag}.json", result.provenance(p, sweep), cfg)
@@ -286,10 +282,10 @@ MODES = (*_RUNNERS, "reproduce-figure")
 # ---------------------------------------------------------------------------
 # Figure recipes: named experiment presets with their parameters baked in.
 
-def _recipe(mode, model, tau=None, s_points=201, evolution=None, **kw):
+def _recipe(mode, model, tau=None, evolution=None, **kw):
     return ExperimentConfig(
         mode=mode, model=ModelSpec.from_dict(model),
-        tau_grid=TauGrid(**tau) if tau else None, s_points=s_points,
+        tau_grid=TauGrid(**tau) if tau else None,
         evolution=EvolutionConfig(**(evolution or {})), **kw)
 
 

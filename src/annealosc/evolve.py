@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 7
+# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 2
 from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands  # noqa: F401
 from .spectrum import _WORKSPACE_BYTES, _eigs, _two_lowest
@@ -50,24 +50,22 @@ class ConvergenceError(RuntimeError):
     """Step-doubling did not converge within the substep budget."""
 
 
+# substeps of the first doubling level
+_INITIAL_STEPS = 256
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Levels double from initial_steps up to max_steps; each tau is accepted
+    """Levels double from _INITIAL_STEPS up to max_steps; each tau is accepted
     at the first level whose final state moves by < step_tolerance in 2-norm."""
     step_tolerance: float = 1e-8
     max_steps: int = 1 << 22
-    initial_steps: int = 256
 
     def __post_init__(self):
         if not 0 < self.step_tolerance < math.inf:
             raise ValueError("step_tolerance must be positive and finite")
-        if self.max_steps < 2:
-            raise ValueError("max_steps must be at least 2")
-        # a level of n substeps is n/2 CF4 steps of two exponentials each
-        if self.initial_steps % 2 or not 2 <= self.initial_steps <= self.max_steps:
-            raise ValueError(
-                f"initial_steps must be even and in [2, max_steps={self.max_steps}], "
-                f"got {self.initial_steps}")
+        if self.max_steps < _INITIAL_STEPS:
+            raise ValueError(f"max_steps must be at least {_INITIAL_STEPS}, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -202,7 +200,7 @@ def _propagate(model: ReducedHamiltonian, taus: np.ndarray, n_substeps: int,
 def _evolve_batch(model, taus, cfg):
     """Final states (dim x ntau), each tau accepted on its own error."""
     psi0 = ground_state(model, 0.0)
-    n = cfg.initial_steps
+    n = _INITIAL_STEPS
     prev = _propagate(model, taus, n, psi0)
     final = np.empty_like(prev)
     open_, err = np.arange(len(taus)), np.full(len(taus), np.inf)

@@ -1,7 +1,7 @@
 """Least-squares estimation of the splitting-ansatz parameters A (and v).
 
 The ansatz is quadratic in A, so the sum of squared residuals is a quartic
-in A and its minimum over [0, a_max] is found exactly, from a few dot
+in A and its minimum over [0, _A_MAX] is found exactly, from a few dot
 products and the roots of a cubic.  Only v is searched: the two-parameter
 fit profiles A out of the objective, scans a log-spaced v grid to avoid the
 exponentially flat valley in v, and takes the root of the profile's slope in
@@ -22,6 +22,10 @@ import numpy as np
 from .evolve import SweepResult
 from .predict import SplitParams, _lz_decay, _split_terms, predict_split
 from .spectrum import _secant_root
+
+# the fitted A lies in [0, _A_MAX]; fit_A_v resolves log v to _V_TOL
+_A_MAX = 2.0
+_V_TOL = 1e-9
 
 
 def _fixed_terms(p: SplitParams, taus: np.ndarray,
@@ -141,32 +145,25 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(x**2)))
 
 
-def _check_a_max(a_max: float) -> None:
-    if not 0.0 < a_max < math.inf:
-        raise ValueError(f"a_max must be positive and finite, got {a_max}")
-
-
-def fit_A(sweep: SweepResult, p: SplitParams, a_max: float = 2.0) -> FitResult:
-    """One-parameter fit of A over [0, a_max] against a direct sweep.
+def fit_A(sweep: SweepResult, p: SplitParams) -> FitResult:
+    """One-parameter fit of A over [0, _A_MAX] against a direct sweep.
 
     The least-squares A is exact (see `_exact_A`); the fit is converged when
-    it lies strictly inside (0, a_max).
+    it lies strictly inside (0, _A_MAX).
     """
-    _check_a_max(a_max)
     _check_sweep(sweep, p)
     taus, probs = sweep.taus, sweep.probs
     s, r = _fixed_terms(p, taus, probs)
-    a_hat, _sse, on_edge = _exact_A(np.array([p.v]), p.g, p.m, taus, s, r, a_max)
+    a_hat, _sse, on_edge = _exact_A(np.array([p.v]), p.g, p.m, taus, s, r, _A_MAX)
     a_hat = float(a_hat[0])
     resid = probs - predict_split(p.with_values(A=a_hat), taus)
     return FitResult(a_hat=a_hat, v_hat=None, rms_residual=_rms(resid),
                      n_points=len(taus), converged=not on_edge[0])
 
 
-def fit_A_v(sweep: SweepResult, p: SplitParams, a_max: float = 2.0,
-            v_range: tuple[float, float] = (0.02, 50.0), n_scan: int = 48,
-            tol: float = 1e-9) -> FitResult:
-    """Joint (A, v) fit with g fixed.
+def fit_A_v(sweep: SweepResult, p: SplitParams,
+            v_range: tuple[float, float] = (0.02, 50.0), n_scan: int = 48) -> FitResult:
+    """Joint (A, v) fit with g fixed, A in [0, _A_MAX].
 
     The objective valley is strongly correlated in (A, v), so the fit
     profiles out A: for each candidate v the inner minimum over A is solved
@@ -175,24 +172,21 @@ def fit_A_v(sweep: SweepResult, p: SplitParams, a_max: float = 2.0,
     points (one `_exact_A` call for the whole grid).  v_hat is then the root
     of dF/dlog v (`_profile_slope`) in the grid cell next to the best point
     where the slope changes sign, by safeguarded secant steps of one
-    single-v `_exact_A` call each, to tol/2 in log v.  Where the slope does
+    single-v `_exact_A` call each, to _V_TOL/2 in log v.  Where the slope does
     not change sign there (a minimum at an end of v_range, or a flat profile
     with no Landau-Zener signal) v_hat is the best grid point, and the fit is
     flagged unconverged.
     """
-    _check_a_max(a_max)
     if not 0.0 < v_range[0] < v_range[1] < math.inf:
         raise ValueError(f"need 0 < v_range[0] < v_range[1] < inf, got {v_range}")
     if not n_scan >= 3:
         raise ValueError(f"n_scan must be at least 3, got {n_scan}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     _check_sweep(sweep, p)
     taus, probs = sweep.taus, sweep.probs
     s, r = _fixed_terms(p, taus, probs)
 
     grid = np.linspace(math.log(v_range[0]), math.log(v_range[1]), n_scan)
-    a_scan, sse, _edge = _exact_A(np.exp(grid), p.g, p.m, taus, s, r, a_max)
+    a_scan, sse, _edge = _exact_A(np.exp(grid), p.g, p.m, taus, s, r, _A_MAX)
     a_at = dict(zip(grid.tolist(), a_scan.tolist()))
     i = int(np.argmin(sse))
     near = np.arange(max(i - 1, 0), min(i + 2, n_scan))
@@ -201,7 +195,7 @@ def fit_A_v(sweep: SweepResult, p: SplitParams, a_max: float = 2.0,
 
     def profile_slope(logv):
         v = np.array([math.exp(logv)])
-        a, _sse, _edge = _exact_A(v, p.g, p.m, taus, s, r, a_max)
+        a, _sse, _edge = _exact_A(v, p.g, p.m, taus, s, r, _A_MAX)
         a_at[logv] = float(a[0])
         return float(_profile_slope(v, a, p.g, p.m, taus, s, r)[0])
 
@@ -210,7 +204,7 @@ def fit_A_v(sweep: SweepResult, p: SplitParams, a_max: float = 2.0,
     lo, hi = (i - 1, i) if slopes[i] > 0.0 else (i, i + 1)
     if lo in slopes and hi in slopes and slopes[lo] < 0.0 < slopes[hi]:
         logv = _secant_root(profile_slope, grid[lo], grid[hi], slopes[lo], slopes[hi],
-                            0.5 * tol)
+                            0.5 * _V_TOL)
     else:
         logv = grid[i]
     logv = float(logv)

@@ -10,6 +10,7 @@ target and non-target basis states.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +42,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        # a float or bool size would be truncated, or fail deep in numpy
+        for name in ("n", "big_n", "big_m"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.kind == "grover":
             if self.big_n is None or self.big_m is None:
                 raise ValueError("grover model requires big_n and big_m")

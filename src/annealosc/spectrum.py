@@ -22,7 +22,7 @@ cell where the trace's own slopes change sign, the 2g points by Newton steps,
 both sides in one batch.  It integrates the gap by QUADPACK's 21-point
 Gauss-Kronrod rule on adaptively bisected panels graded out from s*; each
 round of nodes is one `_eigs` batch, and omega_- and omega_+ are each within
-quad_tol absolute.
+_QUAD_TOL absolute.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .models import ReducedHamiltonian, _check_s
-# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 7
+# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 2
 from scipy.linalg import eigh  # noqa: F401
 from .models import hamiltonian_at, tridiagonal_bands  # noqa: F401
 
@@ -431,6 +431,10 @@ def _secant_root(f, a: float, b: float, fa: float, fb: float, tol: float) -> flo
 
 # a 2g point is accepted once its Newton step is this small
 _TWO_G_XTOL = 1e-10
+# locate_crossing's bound on |s* - root of Delta'| and its absolute bound on
+# each of omega_- and omega_+
+_S_TOL = 1e-8
+_QUAD_TOL = 1e-10
 
 
 def _two_g_points(model: ReducedHamiltonian, g: float, lo: np.ndarray, hi: np.ndarray,
@@ -460,12 +464,11 @@ def _two_g_points(model: ReducedHamiltonian, g: float, lo: np.ndarray, hi: np.nd
     raise RuntimeError(f"Delta = 2g points not found within {_TWO_G_XTOL:g} in 60 steps")
 
 
-def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
-                    quad_tol: float = 1e-10) -> CrossingParams:
+def locate_crossing(trace: GapTrace) -> CrossingParams:
     """Refine the gap minimum, classify it, and integrate the gap.
 
     s* is the root of the Hellmann-Feynman slope Delta'(s) (`_hf_slope`) to
-    within s_tol, bracketed by the trace cell next to the trace's smallest gap
+    within _S_TOL, bracketed by the trace cell next to the trace's smallest gap
     where the slopes of the trace's own eigenvectors change sign, and refined
     by safeguarded secant steps of one eigensolve each (`_secant_root`); g is
     Delta there.  The Landau-Zener slope v is read off the curvature of
@@ -476,20 +479,17 @@ def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
     flank-line fit systematically underestimates v.)  Its second difference
     is taken at a quarter of the larger 2g half-width, whose two ends come
     from Newton steps on the same slope, both sides in one batch a step
-    (`_two_g_points`).  omega_- and omega_+ each come to within quad_tol
+    (`_two_g_points`).  omega_- and omega_+ each come to within _QUAD_TOL
     absolute from adaptive 21-point Gauss-Kronrod quadrature of Delta on
     panels graded out from s*, every round of nodes decomposed in one batch
-    (`_gap_integrals`).  s_tol and quad_tol must be positive and finite.
-    Raises RuntimeError when the slopes at the trace points around its
-    smallest gap do not bracket a minimum (a trace too coarse there).
+    (`_gap_integrals`).  Raises RuntimeError when the slopes at the trace
+    points around its smallest gap do not bracket a minimum (a trace too
+    coarse there).
     """
-    for name, value in (("s_tol", s_tol), ("quad_tol", quad_tol)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
     model, s, delta = trace.model, trace.s, trace.delta
     i = int(np.argmin(delta))
     if i == 0 or i == len(s) - 1:
-        omega = _gap_integrals(model, np.array([0.0, 1.0]), np.array([0]), quad_tol)
+        omega = _gap_integrals(model, np.array([0.0, 1.0]), np.array([0]), _QUAD_TOL)
         return CrossingParams(kind="none", s_star=math.nan, g=float(delta.min()),
                               v=math.nan, omega_minus=float(omega[0]), omega_plus=0.0)
 
@@ -506,9 +506,9 @@ def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
     if slope == 0.0:
         s_star = float(s[i])
     elif left_slope < 0.0 < slope:
-        s_star = _secant_root(gap_slope, s[i - 1], s[i], left_slope, slope, s_tol)
+        s_star = _secant_root(gap_slope, s[i - 1], s[i], left_slope, slope, _S_TOL)
     elif slope < 0.0 < right_slope:
-        s_star = _secant_root(gap_slope, s[i], s[i + 1], slope, right_slope, s_tol)
+        s_star = _secant_root(gap_slope, s[i], s[i + 1], slope, right_slope, _S_TOL)
     else:
         raise RuntimeError(
             f"gap slopes {left_slope:.3g}, {slope:.3g}, {right_slope:.3g} at the trace "
@@ -530,7 +530,7 @@ def locate_crossing(trace: GapTrace, s_tol: float = 1e-8,
     dr = _graded(s[right] - s_star if right is not None else 1.0 - s_star, 1.0 - s_star)
     edges = np.concatenate([[0.0], s_star - dl[::-1], [s_star], s_star + dr, [1.0]])
     groups = np.repeat([0, 1], [len(dl) + 1, len(dr) + 1])
-    omega_minus, omega_plus = _gap_integrals(model, edges, groups, quad_tol).tolist()
+    omega_minus, omega_plus = _gap_integrals(model, edges, groups, _QUAD_TOL).tolist()
     if left is None or right is None:
         return CrossingParams(kind="large-gap", s_star=s_star, g=g, v=math.nan,
                               omega_minus=omega_minus, omega_plus=omega_plus)

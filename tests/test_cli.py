@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import annealosc
-from annealosc import cli, spectrum
+from annealosc import cli, evolve, spectrum
 from annealosc.cli import (ExperimentConfig, TauGrid, _figure_configs, _recipe,
                            config_hash, main)
 
@@ -62,6 +62,15 @@ def test_non_finite_model_values_exit_1(tmp_path, capsys, name, value):
     cfg = _write_config(tmp_path, {"mode": "gap", "model": model})
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert f"error: {name} must be" in capsys.readouterr().err
+
+
+def test_non_integer_model_size_exit_1(tmp_path, capsys):
+    # a float N is rejected before gap mode writes anything, not truncated
+    model = {"kind": "grover", "big_n": 64.5, "big_m": 1}
+    cfg = _write_config(tmp_path, {"mode": "gap", "model": model})
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "error: big_n must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "gap.csv").exists()
 
 
 @pytest.mark.parametrize("prediction", [{"A": 0.5, "m": 0},
@@ -195,8 +204,7 @@ def test_sweep_mode_requires_tau_grid(tmp_path):
 def test_sweep_numerical_failure_exit_code(tmp_path):
     payload = {"mode": "sweep", "model": NOBARRIER,
                "tau_grid": {"min": 50.0, "max": 60.0, "count": 3},
-               "evolution": {"step_tolerance": 1e-14, "max_steps": 64,
-                             "initial_steps": 16}}
+               "evolution": {"step_tolerance": 1e-14, "max_steps": 512}}
     cfg = _write_config(tmp_path, payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
 
@@ -277,8 +285,7 @@ def test_reproduce_figure_thread_invariance(tmp_path, monkeypatch):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     failing = _recipe("sweep", NOBARRIER, {"min": 50.0, "max": 60.0, "count": 3},
-                      evolution={"step_tolerance": 1e-14, "max_steps": 64,
-                                 "initial_steps": 16})
+                      evolution={"step_tolerance": 1e-14, "max_steps": 512})
     monkeypatch.setattr(cli, "_figure_configs",
                         lambda name: _cheap_recipe(name) + [("_bad", failing)])
     assert main(["--figure", "fig3", "--out", str(tmp_path / "bad"),
@@ -311,3 +318,23 @@ def test_reproduce_figure_gap_smoke(tmp_path):
     crossing = json.loads((tmp_path / "crossing_fig5.json").read_text())
     assert crossing["kind"] == "avoided"
     assert 0.0 < crossing["s_star"] < 1.0
+
+
+# ------------------------------------------------------- benchmark tracer
+
+def test_benchmark_tracer_wraps_and_restores(tmp_path, monkeypatch):
+    # perfbench/tracing.py looks up names the package keeps only for it (the
+    # eigensolver imports of spectrum and evolve, cli._sweep_chunk): if one
+    # goes, install() raises here and not only on a traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+    names = [(spectrum, "locate_crossing"), (cli, "locate_crossing"), (spectrum, "eigh"),
+             (evolve, "eigh_tridiagonal"), (evolve, "tridiagonal_bands"),
+             (cli, "_sweep_chunk")]
+    before = [getattr(module, attr) for module, attr in names]
+    _tracer, undo = tracing.install(tmp_path)
+    try:
+        assert all(getattr(m, a) is not b for (m, a), b in zip(names, before))
+    finally:
+        undo()
+    assert all(getattr(m, a) is b for (m, a), b in zip(names, before))

@@ -323,15 +323,16 @@ def test_lattice_phases_change_no_work_and_no_probability(request, monkeypatch,
 
 
 def test_nonconvergence_reported(nobarrier1):
-    cfg = EvolutionConfig(step_tolerance=1e-14, max_steps=64, initial_steps=16)
+    cfg = EvolutionConfig(step_tolerance=1e-14, max_steps=512)
     with pytest.raises(ConvergenceError):
         evolve_schrodinger(nobarrier1, 80.0, cfg)
 
 
 @pytest.mark.parametrize("initial_steps", [-4, 0, 1, 7, 128])
 def test_bad_initial_steps_rejected(initial_steps):
-    with pytest.raises(ValueError):
-        EvolutionConfig(initial_steps=initial_steps, max_steps=64)
+    # the first level is fixed at evolve._INITIAL_STEPS substeps
+    with pytest.raises(TypeError, match="initial_steps"):
+        EvolutionConfig(initial_steps=initial_steps)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
@@ -341,9 +342,11 @@ def test_bad_step_tolerance_rejected(tol):
 
 
 @pytest.mark.parametrize("evolution", [{"initial_steps": 0}, {"initial_steps": -4},
-                                       {"method": "exponential-midpoint"}])
+                                       {"method": "exponential-midpoint"},
+                                       {"initial_steps": 256}, {"max_steps": 128}])
 def test_bad_evolution_config_cli_exit_code(tmp_path, evolution):
-    # `method` is no longer an EvolutionConfig field
+    # `method` and `initial_steps` are no longer EvolutionConfig fields, and
+    # max_steps must reach the first level's 256 substeps
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "mode": "sweep", "model": {"kind": "nobarrier", "n": 1, "mu": 1.0},

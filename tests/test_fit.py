@@ -49,9 +49,10 @@ def test_fit_a_noiseless_roundtrip():
 
 
 def test_fit_a_boundary_flagged():
-    res = fit_A(synthetic_sweep(0.25), BASE, a_max=0.1)
+    # data with A above fit._A_MAX = 2
+    res = fit_A(synthetic_sweep(2.5), BASE)
     assert not res.converged
-    assert res.a_hat == pytest.approx(0.1, abs=1e-6)
+    assert res.a_hat == pytest.approx(2.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("a", [0.02, 1.98])
@@ -66,17 +67,17 @@ def test_fit_a_near_bounds_converged(a):
 @given(a=st.floats(0.0, 2.5), a_max=st.floats(0.05, 2.0),
        noise=st.floats(0.01, 0.3), seed=st.integers(0, 2**32 - 1))
 def test_fit_a_finds_exact_minimum(a, a_max, noise, seed):
-    # no A on a fine grid over [0, a_max] fits noisy data better than a_hat
+    # no A on a fine grid over [0, a_max] fits noisy data better than _exact_A's
     sweep = synthetic_sweep(a, noise=noise, rng=np.random.default_rng(seed))
 
     def sse(x):
         return float(np.sum((sweep.probs
                              - predict_split(BASE.with_values(A=x), sweep.taus)) ** 2))
 
-    res = fit_A(sweep, BASE, a_max=a_max)
-    assert 0.0 <= res.a_hat <= a_max
+    a_hat = float(_profile([BASE.v], sweep, a_max)[0][0])
+    assert 0.0 <= a_hat <= a_max
     grid_best = min(sse(x) for x in np.linspace(0.0, a_max, 2001))
-    assert sse(res.a_hat) <= grid_best * (1.0 + 1e-12)
+    assert sse(a_hat) <= grid_best * (1.0 + 1e-12)
 
 
 def test_fit_a_noise_calibration():
@@ -250,8 +251,9 @@ ROUNDTRIP_SWEEPS = [(0.2, 0.5, None)] + [
                          (1.0, 5.0, 300.0)]]
 
 
-def _assert_matches_golden(sweep, tol=1e-9, **kw):
-    res = fit_A_v(sweep, BASE, tol=tol, **kw)
+def _assert_matches_golden(sweep, **kw):
+    tol = fit._V_TOL
+    res = fit_A_v(sweep, BASE, **kw)
     v_ref, a_ref = fit_A_v_golden(sweep, BASE, tol=tol, **kw)
     assert abs(math.log(res.v_hat / v_ref)) <= tol
     assert abs(res.a_hat - a_ref) <= 1e-8 * abs(a_ref)
@@ -314,17 +316,19 @@ def test_fit_a_v_no_signal_is_degenerate():
     assert not res.converged
 
 
-def test_fit_a_v_stops_at_float_resolution():
-    # a tol below the float spacing of log v cannot be met
+def test_fit_a_v_stops_at_float_resolution(monkeypatch):
+    # a _V_TOL below the float spacing of log v cannot be met
+    monkeypatch.setattr(fit, "_V_TOL", 1e-300)
     sweep = synthetic_sweep(0.2, v=0.5)
-    res = fit_A_v(sweep, BASE, tol=1e-300)
+    res = fit_A_v(sweep, BASE)
     assert res.v_hat == pytest.approx(0.5, rel=1e-9)
     assert res.converged
 
 
 @pytest.mark.parametrize("a_max", [math.nan, math.inf, 0.0, -1.0])
 def test_fit_a_rejects_bad_a_max(a_max):
-    with pytest.raises(ValueError):
+    # the bound is the constant fit._A_MAX
+    with pytest.raises(TypeError, match="a_max"):
         fit_A(synthetic_sweep(0.25), BASE, a_max=a_max)
 
 
@@ -336,7 +340,9 @@ def test_fit_a_rejects_bad_a_max(a_max):
     {"tol": math.inf},
 ])
 def test_fit_a_v_rejects_bad_arguments(kw):
-    with pytest.raises(ValueError):
+    # a_max and tol are the constants fit._A_MAX and fit._V_TOL
+    removed = {"a_max", "tol"} & kw.keys()
+    with pytest.raises(TypeError if removed else ValueError):
         fit_A_v(synthetic_sweep(0.2, v=0.5), BASE, **kw)
 
 

@@ -25,6 +25,16 @@ def test_spec_validation():
         ModelSpec(kind="grover", big_n=4, big_m=0)
     with pytest.raises(ValueError):
         ModelSpec(kind="unknown")
+    # sizes are integers: a float or bool is not truncated
+    for name, bad in [("big_n", dict(kind="grover", big_n=64.5, big_m=1)),
+                      ("big_m", dict(kind="grover", big_n=64, big_m=1.5)),
+                      ("big_m", dict(kind="grover", big_n=64, big_m=True)),
+                      ("n", dict(kind="cubic", n=True)),
+                      ("n", dict(kind="cubic", n="4")),
+                      ("n", dict(kind="barrier", n=16.5, alpha=0.3, beta=0.5))]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ModelSpec(**bad)
+    assert ModelSpec(kind="cubic", n=np.int64(4)).n == 4
 
 
 def test_nobarrier_diagonal_n4():

@@ -203,7 +203,8 @@ def test_quadrature_grid_consistency(barrier84, barrier84_crossing):
 @pytest.mark.parametrize("name", ["s_tol", "quad_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_locate_crossing_rejects_bad_tolerances(barrier84_trace, name, value):
-    with pytest.raises(ValueError, match=name):
+    # the tolerances are the constants spectrum._S_TOL and _QUAD_TOL
+    with pytest.raises(TypeError, match=name):
         locate_crossing(barrier84_trace, **{name: value})
 
 
@@ -261,8 +262,9 @@ def test_unattainable_quad_tol_raises(monkeypatch, nobarrier1_trace):
     real = spectrum._eigs
     monkeypatch.setattr(spectrum, "_eigs",
                         lambda m, g, *a: matrices.append(len(g)) or real(m, g, *a))
+    monkeypatch.setattr(spectrum, "_QUAD_TOL", 1e-300)
     with pytest.raises(RuntimeError, match="Gauss-Kronrod panels"):
-        locate_crossing(nobarrier1_trace, quad_tol=1e-300)
+        locate_crossing(nobarrier1_trace)
     assert sum(matrices) <= 21 * spectrum._QK_MAX_PANELS + 100
 
 
@@ -324,12 +326,11 @@ SLOPE_ROOT_MODELS = {
 def test_s_star_is_a_tight_slope_root(name):
     spec, g_before = SLOPE_ROOT_MODELS[name]
     model = build_model(ModelSpec(**spec))
-    s_tol = 1e-8
-    cr = locate_crossing(gap_trace(model), s_tol=s_tol)
+    cr = locate_crossing(gap_trace(model))
     assert cr.kind == ("large-gap" if name == "barrier32_large_gap" else "avoided")
     root = optimize.brentq(lambda x: _slope(model, x)[0], cr.s_star - 1e-4,
                            cr.s_star + 1e-4, xtol=1e-15)
-    assert abs(cr.s_star - root) <= s_tol
+    assert abs(cr.s_star - root) <= 1e-8
     assert abs(cr.g - g_before) <= 1e-13
     assert cr.g == _delta(model, cr.s_star)[0]
 
@@ -389,9 +390,11 @@ def test_secant_root_falls_back_to_bisection():
     assert len(seen) <= 54
 
 
-def test_slope_root_stops_at_float_resolution(barrier84_trace, barrier84_crossing):
-    # an s_tol below the float spacing at s* cannot be met
-    cr = locate_crossing(barrier84_trace, s_tol=1e-300)
+def test_slope_root_stops_at_float_resolution(monkeypatch, barrier84_trace,
+                                              barrier84_crossing):
+    # an _S_TOL below the float spacing at s* cannot be met
+    monkeypatch.setattr(spectrum, "_S_TOL", 1e-300)
+    cr = locate_crossing(barrier84_trace)
     assert cr.s_star == pytest.approx(barrier84_crossing.s_star, abs=1e-8)
     assert cr.g == pytest.approx(barrier84_crossing.g, abs=1e-14)
 
@@ -528,8 +531,10 @@ def test_gap_at_matches_trace(barrier84, barrier84_trace):
 
 
 @pytest.mark.parametrize("spec", [
-    dict(kind="barrier", n=24, mu=1.0, alpha=0.3, beta=0.5),  # batched eigh
-    dict(kind="barrier", n=40, mu=1.0, alpha=0.3, beta=0.5),  # eigh_tridiagonal
+    # a trace takes only the lowest pairs: tridiagonal models, at any dimension,
+    # from _lowest_tridiagonal
+    dict(kind="barrier", n=24, mu=1.0, alpha=0.3, beta=0.5),
+    dict(kind="barrier", n=40, mu=1.0, alpha=0.3, beta=0.5),
     dict(kind="cubic", n=30),
     dict(kind="grover", big_n=64, big_m=1),  # dense model
     dict(kind="nobarrier", n=1, mu=1.0),
