@@ -1,10 +1,8 @@
 """Near-adiabatic annealing simulations and leakage-oscillation analysis."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
-from .models import (ModelSpec, ReducedHamiltonian, build_barrier_model,
-                     build_cubic_model, build_grover_model,
-                     build_nobarrier_model, build_model, hamiltonian_at)
+from .models import ModelSpec, ReducedHamiltonian, build_model, hamiltonian_at
 from .spectrum import (CrossingParams, GapTrace, gap_trace, locate_crossing,
                        rho_endpoints)
 from .evolve import (EvolutionConfig, SweepResult, ground_state, tau_sweep,

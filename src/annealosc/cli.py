@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .evolve import ConvergenceError, EvolutionConfig, SweepResult, tau_sweep
 from .fit import FitResult, fit_A, fit_A_v
-from .models import ModelSpec, build_model
+from .models import ModelSpec, _check_int, _check_not_bool, build_model
 from .predict import (LargeGapParams, SplitParams, grover_gamma, grover_omega,
                       grover_period, predict_grover, predict_large_gap,
                       predict_split, split_params_from_crossing)
@@ -39,6 +39,9 @@ class TauGrid:
     spacing: str = "linear"
 
     def __post_init__(self):
+        for name in ("min", "max"):
+            _check_not_bool(f"tau {name}", getattr(self, name))
+        _check_int("tau count", self.count)
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ValueError("tau min and max must be finite")
         if self.min <= 0:
@@ -82,6 +85,11 @@ class ExperimentConfig:
         m = self.prediction.get("m", 1)
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ValueError(f"prediction.m must be an integer >= 1, got {m!r}")
+        for name in ("A", "v"):
+            _check_not_bool(f"prediction.{name}", self.prediction.get(name))
+        _check_int("s_points", self.s_points)
+        if not isinstance(self.fit_vary_v, bool):
+            raise ValueError(f"fit_vary_v must be true or false, got {self.fit_vary_v!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

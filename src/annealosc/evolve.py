@@ -43,6 +43,7 @@ import numpy as np
 # unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 2
 from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands  # noqa: F401
+from .models import _check_int, _check_not_bool
 from .spectrum import _WORKSPACE_BYTES, _eigs, _two_lowest
 
 
@@ -57,15 +58,19 @@ _INITIAL_STEPS = 256
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Levels double from _INITIAL_STEPS up to max_steps; each tau is accepted
-    at the first level whose final state moves by < step_tolerance in 2-norm."""
+    at the first level whose final state moves by < step_tolerance in 2-norm,
+    so max_steps must reach the second level."""
     step_tolerance: float = 1e-8
     max_steps: int = 1 << 22
 
     def __post_init__(self):
+        _check_not_bool("step_tolerance", self.step_tolerance)
         if not 0 < self.step_tolerance < math.inf:
             raise ValueError("step_tolerance must be positive and finite")
-        if self.max_steps < _INITIAL_STEPS:
-            raise ValueError(f"max_steps must be at least {_INITIAL_STEPS}, got {self.max_steps}")
+        _check_int("max_steps", self.max_steps)
+        if self.max_steps < 2 * _INITIAL_STEPS:
+            raise ValueError(
+                f"max_steps must be at least {2 * _INITIAL_STEPS}, got {self.max_steps}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,18 @@ import numpy as np
 MODEL_KINDS = ("barrier", "cubic", "nobarrier", "grover")
 
 
+def _check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int (a float or bool would be truncated)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_not_bool(name: str, value) -> None:
+    """Raise ValueError for a bool (a JSON true), which arithmetic reads as 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Parameters selecting one of the supported annealing problems.
@@ -42,12 +54,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        # a float or bool size would be truncated, or fail deep in numpy
         for name in ("n", "big_n", "big_m"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if getattr(self, name) is not None:
+                _check_int(name, getattr(self, name))
+        for name in ("mu", "alpha", "beta"):
+            _check_not_bool(name, getattr(self, name))
         if self.kind == "grover":
             if self.big_n is None or self.big_m is None:
                 raise ValueError("grover model requires big_n and big_m")
@@ -113,68 +124,12 @@ def barrier_profile(n: int, alpha: float, beta: float) -> np.ndarray:
     return b
 
 
-def _transverse_offdiag(n: int) -> np.ndarray:
-    # (1/2) sum_i sigma_x^(i) restricted to the symmetric (Hamming-weight) basis
-    k = np.arange(n)
-    return np.sqrt((k + 1) * (n - k)) / 2.0
-
-
-def _qubit_hamiltonians(n: int, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    off = _transverse_offdiag(n)
-    h0 = np.diag(off, 1) + np.diag(off, -1)
-    h1 = np.diag(f)
-    return h0, h1
-
-
 def _identity_schedule(s):
     return s
 
 
 def _identity_schedule_deriv(s):
     return 1.0 if np.isscalar(s) else np.ones_like(np.asarray(s, float))
-
-
-def build_barrier_model(spec: ModelSpec) -> ReducedHamiltonian:
-    """Hamming-weight barrier problem: f(k) = mu*k + b(k) with a binomial bump."""
-    if spec.kind != "barrier":
-        raise ValueError("spec.kind must be 'barrier'")
-    n = spec.n
-    f = spec.mu * np.arange(n + 1) + barrier_profile(n, spec.alpha, spec.beta)
-    h0, h1 = _qubit_hamiltonians(n, f)
-    return ReducedHamiltonian(
-        dim=n + 1, h0=h0, h1=h1,
-        schedule=_identity_schedule, schedule_deriv=_identity_schedule_deriv,
-        tridiagonal=True, label=f"barrier(n={n},mu={spec.mu},a={spec.alpha},b={spec.beta})",
-    )
-
-
-def build_nobarrier_model(spec: ModelSpec) -> ReducedHamiltonian:
-    """Decoupled-qubit problem: f(k) = mu*k, no bump."""
-    if spec.kind != "nobarrier":
-        raise ValueError("spec.kind must be 'nobarrier'")
-    n = spec.n
-    f = spec.mu * np.arange(n + 1, dtype=float)
-    h0, h1 = _qubit_hamiltonians(n, f)
-    return ReducedHamiltonian(
-        dim=n + 1, h0=h0, h1=h1,
-        schedule=_identity_schedule, schedule_deriv=_identity_schedule_deriv,
-        tridiagonal=True, label=f"nobarrier(n={n},mu={spec.mu})",
-    )
-
-
-def build_cubic_model(spec: ModelSpec) -> ReducedHamiltonian:
-    """Cubic (p=3 spin) problem: f(k) = n*(2k/n - 1)**3."""
-    if spec.kind != "cubic":
-        raise ValueError("spec.kind must be 'cubic'")
-    n = spec.n
-    k = np.arange(n + 1)
-    f = n * (2 * k / n - 1.0) ** 3
-    h0, h1 = _qubit_hamiltonians(n, f)
-    return ReducedHamiltonian(
-        dim=n + 1, h0=h0, h1=h1,
-        schedule=_identity_schedule, schedule_deriv=_identity_schedule_deriv,
-        tridiagonal=True, label=f"cubic(n={n})",
-    )
 
 
 def grover_schedule(big_n: int, big_m: int):
@@ -197,38 +152,31 @@ def grover_schedule(big_n: int, big_m: int):
     return g, g_deriv
 
 
-def build_grover_model(spec: ModelSpec) -> ReducedHamiltonian:
-    """Adiabatic search in the 2-dimensional target / non-target subspace."""
-    if spec.kind != "grover":
-        raise ValueError("spec.kind must be 'grover'")
-    big_n, big_m = spec.big_n, spec.big_m
-    u = np.array([math.sqrt(big_m / big_n), math.sqrt((big_n - big_m) / big_n)])
-    h0 = -np.outer(u, u)
-    h1 = np.diag([0.0, 1.0])
-    g, g_deriv = grover_schedule(big_n, big_m)
-
-    def sched(s):
-        return float(g(s)) if np.isscalar(s) else g(s)
-
-    def sched_deriv(s):
-        return float(g_deriv(s)) if np.isscalar(s) else g_deriv(s)
-
-    return ReducedHamiltonian(
-        dim=2, h0=h0, h1=h1, schedule=sched, schedule_deriv=sched_deriv,
-        tridiagonal=False, label=f"grover(N={big_n},M={big_m})",
-    )
-
-
-_BUILDERS = {
-    "barrier": build_barrier_model,
-    "cubic": build_cubic_model,
-    "nobarrier": build_nobarrier_model,
-    "grover": build_grover_model,
-}
-
-
 def build_model(spec: ModelSpec) -> ReducedHamiltonian:
-    return _BUILDERS[spec.kind](spec)
+    """The Hamiltonian path of spec.  Qubit models share g(s) = s and the
+    transverse field h0 = (1/2) sum_i sigma_x^(i) in the Hamming-weight basis
+    k = 0..n; h1 = diag f(k): mu*k, mu*k + b(k) (barrier) or n(2k/n - 1)^3 (cubic)."""
+    if spec.kind == "grover":
+        big_n, big_m = spec.big_n, spec.big_m
+        u = np.array([math.sqrt(big_m / big_n), math.sqrt((big_n - big_m) / big_n)])
+        g, g_deriv = grover_schedule(big_n, big_m)
+        return ReducedHamiltonian(
+            dim=2, h0=-np.outer(u, u), h1=np.diag([0.0, 1.0]),
+            schedule=g, schedule_deriv=g_deriv, label=f"grover(N={big_n},M={big_m})")
+    n = spec.n
+    k = np.arange(n + 1, dtype=float)
+    if spec.kind == "cubic":
+        f, label = n * (2 * k / n - 1.0) ** 3, f"cubic(n={n})"
+    elif spec.kind == "nobarrier":
+        f, label = spec.mu * k, f"nobarrier(n={n},mu={spec.mu})"
+    else:
+        f = spec.mu * k + barrier_profile(n, spec.alpha, spec.beta)
+        label = f"barrier(n={n},mu={spec.mu},a={spec.alpha},b={spec.beta})"
+    off = np.sqrt(k[1:] * (n - k[:-1])) / 2.0
+    return ReducedHamiltonian(
+        dim=n + 1, h0=np.diag(off, 1) + np.diag(off, -1), h1=np.diag(f),
+        schedule=_identity_schedule, schedule_deriv=_identity_schedule_deriv,
+        tridiagonal=True, label=label)
 
 
 def _check_s(s) -> None:

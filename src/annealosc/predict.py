@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import _check_s, grover_schedule
+from .models import _check_not_bool, _check_s, grover_schedule
 from .spectrum import CrossingParams, GapTrace
 
 
@@ -49,6 +49,8 @@ class SplitParams:
             raise ValueError("omega_minus and omega_plus must be positive")
         if self.g <= 0:
             raise ValueError("g must be positive")
+        for name in ("A", "v"):
+            _check_not_bool(name, getattr(self, name))
         if self.v is not None and not 0 < self.v < math.inf:
             raise ValueError(f"v must be positive and finite, got {self.v}")
         if self.A is not None and not math.isfinite(self.A):

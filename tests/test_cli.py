@@ -73,6 +73,39 @@ def test_non_integer_model_size_exit_1(tmp_path, capsys):
     assert not (tmp_path / "gap.csv").exists()
 
 
+_SWEEP = {"mode": "sweep", "model": NOBARRIER,
+          "tau_grid": {"min": 20.0, "max": 40.0, "count": 3}}
+_BARRIER16 = {"kind": "barrier", "n": 16, "mu": 1.0, "alpha": 0.3, "beta": 0.5}
+
+
+@pytest.mark.parametrize("field, payload", [
+    ("tau count", {**_SWEEP, "tau_grid": {"min": 20.0, "max": 40.0, "count": True}}),
+    ("tau count", {"mode": "grover", "model": {"kind": "grover", "big_n": 64, "big_m": 1},
+                   "tau_grid": {"min": 20.0, "max": 40.0, "count": 3.5}}),
+    ("s_points", {"mode": "gap", "model": NOBARRIER, "s_points": 100.5}),
+    ("fit_vary_v", {"mode": "fit", "model": _BARRIER16, "fit_vary_v": "no",
+                    "tau_grid": {"min": 20.0, "max": 60.0, "count": 5}}),
+    ("step_tolerance", {**_SWEEP, "evolution": {"step_tolerance": True}}),
+    ("mu", {"mode": "gap", "model": {**NOBARRIER, "mu": True}}),
+    ("tau min", {**_SWEEP, "tau_grid": {"min": True, "max": 40.0, "count": 3}}),
+    ("prediction.A", {"mode": "predict", "model": _BARRIER16, "prediction": {"A": True},
+                      "tau_grid": {"min": 20.0, "max": 60.0, "count": 5}}),
+    ("prediction.v", {"mode": "predict", "model": _BARRIER16,
+                      "prediction": {"A": 0.5, "v": True},
+                      "tau_grid": {"min": 20.0, "max": 60.0, "count": 5}}),
+], ids=["count-true", "count-float", "s_points-float", "fit_vary_v-string",
+        "step_tolerance-true", "mu-true", "tau-min-true", "A-true", "v-true"])
+def test_config_field_types_exit_1_before_output(tmp_path, capsys, field, payload):
+    # a JSON true is not the number 1, and an integer or boolean field takes
+    # no float or string: each is a validation error before any file is written
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("prediction", [{"A": 0.5, "m": 0},
                                         {"A": 0.5, "V": 3},
                                         {"A": math.nan},

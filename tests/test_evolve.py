@@ -343,10 +343,13 @@ def test_bad_step_tolerance_rejected(tol):
 
 @pytest.mark.parametrize("evolution", [{"initial_steps": 0}, {"initial_steps": -4},
                                        {"method": "exponential-midpoint"},
-                                       {"initial_steps": 256}, {"max_steps": 128}])
+                                       {"initial_steps": 256}, {"max_steps": 128},
+                                       {"max_steps": 256}, {"max_steps": 511},
+                                       {"max_steps": 300.5}])
 def test_bad_evolution_config_cli_exit_code(tmp_path, evolution):
     # `method` and `initial_steps` are no longer EvolutionConfig fields, and
-    # max_steps must reach the first level's 256 substeps
+    # max_steps must be an integer that reaches the second level's 512
+    # substeps, where the first comparison of two levels is made
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "mode": "sweep", "model": {"kind": "nobarrier", "n": 1, "mu": 1.0},

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annealosc import ModelSpec, build_model, hamiltonian_at
-from annealosc.models import (barrier_profile, build_barrier_model,
-                              build_cubic_model, build_grover_model,
-                              grover_schedule, tridiagonal_bands)
+from annealosc.models import barrier_profile, grover_schedule, tridiagonal_bands
 
 from oracles import (central_difference, dH_ds, full_grover_hamiltonian,
                      full_qubit_hamiltonians, symmetric_sector_eigenvalues)
@@ -182,16 +180,6 @@ def test_hamiltonian_always_symmetric(s, n, mu, kind):
     model = build_model(ModelSpec(kind=kind, n=n, mu=mu))
     h = hamiltonian_at(model, s)
     assert np.array_equal(h, h.T)
-
-
-def test_builders_reject_wrong_kind():
-    spec = ModelSpec(kind="cubic", n=4)
-    with pytest.raises(ValueError):
-        build_barrier_model(spec)
-    with pytest.raises(ValueError):
-        build_grover_model(spec)
-    with pytest.raises(ValueError):
-        build_cubic_model(ModelSpec(kind="nobarrier", n=4))
 
 
 def test_from_dict_roundtrip():
