@@ -16,16 +16,16 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .evolve import ConvergenceError, EvolutionConfig, SweepResult, tau_sweep
-from .fit import FitResult, fit_A, fit_A_v
+from .fit import fit_A, fit_A_v
 from .models import ModelSpec, _check_int, _check_not_bool, build_model
-from .predict import (LargeGapParams, SplitParams, grover_gamma, grover_omega,
+from .predict import (LargeGapParams, grover_gamma, grover_omega,
                       grover_period, predict_grover, predict_large_gap,
                       predict_split, split_params_from_crossing)
 from .spectrum import (DegenerateGroundStateError, gap_trace, locate_crossing,
@@ -36,7 +36,6 @@ class TauGrid:
     min: float
     max: float
     count: int
-    spacing: str = "linear"
 
     def __post_init__(self):
         for name in ("min", "max"):
@@ -50,15 +49,9 @@ class TauGrid:
             raise ValueError("tau count must be at least 1")
         if self.count > 1 and self.max <= self.min:
             raise ValueError("tau max must exceed tau min")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError("spacing must be 'linear' or 'log'")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.min])
-        if self.spacing == "log":
-            return np.geomspace(self.min, self.max, self.count)
-        return np.linspace(self.min, self.max, self.count)
+        return np.linspace(self.min, self.max, self.count)  # [min] for count 1
 
 
 @dataclass(frozen=True)
@@ -78,6 +71,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.model is None and self.mode != "reproduce-figure":
             raise ValueError(f"{self.mode} mode requires a model")
+        if self.tau_grid is None and self.mode in ("sweep", "predict", "fit"):
+            raise ValueError(f"{self.mode} mode requires a tau_grid")
+        if self.mode == "grover" and self.model.kind != "grover":
+            raise ValueError("grover mode requires a grover model")
         extra = set(self.prediction) - {"A", "v", "m"}
         if extra:
             raise ValueError(f"unknown prediction fields: {sorted(extra)}")
@@ -93,15 +90,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "model" in d and d["model"] is not None:
-            d["model"] = ModelSpec.from_dict(d["model"])
-        if "tau_grid" in d and d["tau_grid"] is not None:
-            d["tau_grid"] = TauGrid(**d["tau_grid"])
-        if "evolution" in d and d["evolution"] is not None:
-            d["evolution"] = EvolutionConfig(**d["evolution"])
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        d = dict(_json_object("config", d))
+        blocks = {"model": ModelSpec.from_dict, "tau_grid": lambda b: TauGrid(**b),
+                  "evolution": lambda b: EvolutionConfig(**b), "prediction": dict}
+        for name, build in blocks.items():
+            if d.get(name) is None:
+                d.pop(name, None)  # null means the block is absent
+            else:
+                d[name] = build(_json_object(name, d[name]))
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         return cls(**d)
@@ -111,6 +108,13 @@ class ExperimentConfig:
         snap = asdict(self)
         snap["version"] = __version__
         return snap
+
+
+def _json_object(name: str, value) -> dict:
+    """value, if it is a JSON object; a ValueError naming it otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -128,15 +132,12 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray],
               cfg: ExperimentConfig) -> None:
     lines = [f"# config_hash={config_hash(cfg)}", f"# version={__version__}",
              ",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += [",".join(_fmt(x) for x in row) for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
-    payload = dict(payload)
-    payload["config_hash"] = config_hash(cfg)
-    payload["version"] = __version__
+    payload = {**payload, "config_hash": config_hash(cfg), "version": __version__}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -148,28 +149,28 @@ def run_sweep_config(spec: ModelSpec, taus: np.ndarray, evo: EvolutionConfig) ->
 _sweep_chunk = run_sweep_config  # unused; perfbench/tracing.py looks it up (ROADMAP item 2)
 
 
-def _endpoint_rhos(spec: ModelSpec, trace) -> tuple[float, float]:
-    """Barrier problems use the unperturbed closed-form endpoint rhos (the
-    barrier is localized away from the endpoints); everything else uses the
-    numerically diagonalized trace values."""
-    if spec.kind == "barrier":
-        # per-qubit values of the decoupled chain: rho(0) = gamma(0)/Delta(0)^2
-        # = mu/2 and rho(1) = (mu/2)/mu^2 = 1/(2 mu)
-        return spec.mu / 2.0, 1.0 / (2.0 * spec.mu)
-    return rho_endpoints(trace)
+def _analyse(cfg: ExperimentConfig):
+    """(trace, crossing, rho0, rho1, m), the analysis gap, predict and fit share.
 
-
-def _default_m(spec: ModelSpec) -> int:
-    """The barrier problem's first excited level is n-fold degenerate in the
-    full qubit space; paired with the per-state endpoint rhos this makes the
-    fitted amplitude A comparable across n (pure Landau-Zener gives A = 1)."""
-    return spec.n if spec.kind == "barrier" else 1
-
-
-def run_gap(cfg: ExperimentConfig, out: Path, tag: str = "") -> dict:
-    model = build_model(cfg.model)
-    trace = gap_trace(model, n_points=cfg.s_points)
+    Barrier problems take the decoupled chain's closed-form per-qubit rhos,
+    rho(0) = gamma(0)/Delta(0)^2 = mu/2 and rho(1) = (mu/2)/mu^2 = 1/(2 mu),
+    since the barrier sits away from the endpoints, and m = n: their first
+    excited level is n-fold degenerate in the full qubit space, which makes
+    the fitted A comparable across n (pure Landau-Zener gives A = 1).  Other
+    models take the diagonalized trace's rhos and m = 1.  prediction.m
+    overrides m."""
+    spec = cfg.model
+    trace = gap_trace(build_model(spec), n_points=cfg.s_points)
     crossing = locate_crossing(trace)
+    if spec.kind == "barrier":
+        rho0, rho1, m = spec.mu / 2.0, 1.0 / (2.0 * spec.mu), spec.n
+    else:
+        (rho0, rho1), m = rho_endpoints(trace), 1
+    return trace, crossing, rho0, rho1, cfg.prediction.get("m", m)
+
+
+def run_gap(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
+    trace, crossing, *_ = _analyse(cfg)
     write_csv(out / f"gap{tag}.csv",
               ["s", "lambda0", "lambda1", "delta", "gamma", "rho"],
               [trace.s, trace.lambda0, trace.lambda1, trace.delta,
@@ -184,35 +185,24 @@ def run_gap(cfg: ExperimentConfig, out: Path, tag: str = "") -> dict:
         "omega": crossing.omega,
     }
     write_json(out / f"crossing{tag}.json", payload, cfg)
-    return payload
 
 
-def run_sweep(cfg: ExperimentConfig, out: Path, tag: str = "") -> SweepResult:
-    if cfg.tau_grid is None:
-        raise ValueError("sweep mode requires a tau_grid")
-    taus = cfg.tau_grid.values()
-    result = run_sweep_config(cfg.model, taus, cfg.evolution)
+def run_sweep(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
+    result = run_sweep_config(cfg.model, cfg.tau_grid.values(), cfg.evolution)
     write_csv(out / f"sweep{tag}.csv", ["tau", "p_transition", "p_ground"],
               [result.taus, result.probs, 1.0 - result.probs], cfg)
     write_json(out / f"sweep_config{tag}.json", cfg.snapshot(), cfg)
-    return result
 
 
 def run_predict(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
-    if cfg.tau_grid is None:
-        raise ValueError("predict mode requires a tau_grid")
     taus = cfg.tau_grid.values()
     spec = cfg.model
-    m = cfg.prediction.get("m", _default_m(spec))
     if spec.kind == "grover":
         probs = predict_grover(spec.big_n, spec.big_m, taus)
         params = {"model": "grover", "omega": grover_omega(spec.big_n, spec.big_m),
                   "rho": grover_gamma(spec.big_n, spec.big_m, 0.0)}
     else:
-        model = build_model(spec)
-        trace = gap_trace(model, n_points=cfg.s_points)
-        crossing = locate_crossing(trace)
-        rho0, rho1 = _endpoint_rhos(spec, trace)
+        _trace, crossing, rho0, rho1, m = _analyse(cfg)
         if crossing.kind == "avoided":
             A = cfg.prediction.get("A")
             if A is None:
@@ -235,21 +225,12 @@ def run_predict(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
     write_json(out / f"prediction_params{tag}.json", params, cfg)
 
 
-def run_fit(cfg: ExperimentConfig, out: Path, tag: str = "",
-            sweep: SweepResult | None = None) -> tuple[FitResult, SplitParams]:
-    spec = cfg.model
-    model = build_model(spec)
-    trace = gap_trace(model, n_points=cfg.s_points)
-    crossing = locate_crossing(trace)
+def run_fit(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
+    _trace, crossing, rho0, rho1, m = _analyse(cfg)
     if crossing.kind != "avoided":
         raise ValueError(
             f"fit mode needs an avoided crossing; gap analysis says {crossing.kind!r}")
-    if sweep is None:
-        if cfg.tau_grid is None:
-            raise ValueError("fit mode requires a tau_grid (inline sweep generation)")
-        sweep = run_sweep_config(spec, cfg.tau_grid.values(), cfg.evolution)
-    m = cfg.prediction.get("m", _default_m(spec))
-    rho0, rho1 = _endpoint_rhos(spec, trace)
+    sweep = run_sweep_config(cfg.model, cfg.tau_grid.values(), cfg.evolution)
     if cfg.fit_vary_v:
         p = split_params_from_crossing(crossing, rho0, rho1, v=crossing.v, m=m)
         result = fit_A_v(sweep, p)
@@ -261,13 +242,10 @@ def run_fit(cfg: ExperimentConfig, out: Path, tag: str = "",
     write_json(out / f"fit{tag}.json", result.provenance(p, sweep), cfg)
     write_csv(out / f"fit_curve{tag}.csv", ["tau", "p_fitted"],
               [sweep.taus, predict_split(p, sweep.taus)], cfg)
-    return result, p
 
 
 def run_grover(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
     spec = cfg.model
-    if spec.kind != "grover":
-        raise ValueError("grover mode requires a grover model")
     payload = {
         "N": spec.big_n, "M": spec.big_m,
         "omega": grover_omega(spec.big_n, spec.big_m),
@@ -297,20 +275,17 @@ def _recipe(mode, model, tau=None, evolution=None, **kw):
         evolution=EvolutionConfig(**(evolution or {})), **kw)
 
 
-# legend values label the squared final gap: the model coupling is their
-# square root, so the gap is normalized to Delta(0) = 1, Delta(1) = sqrt(label)
-_FIG3_MUS = (1.0, 2.0, 4.0)
-_FIG4_MUS = (1.0, 2.0, 4.0)
-
-
 def _figure_configs(name: str) -> list[tuple[str, ExperimentConfig]]:
     n84 = {"kind": "barrier", "n": 84, "mu": 1.0, "alpha": 0.3, "beta": 0.5}
     cubic30 = {"kind": "cubic", "n": 30}
     grover64 = {"kind": "grover", "big_n": 64, "big_m": 1}
     sweep_tol = {"step_tolerance": 1e-5}
+    # fig3 and fig4 legend values label the squared final gap: the model coupling
+    # is their square root, so the gap is normalized to Delta(0) = 1,
+    # Delta(1) = sqrt(label)
     if name == "fig3":
         out = []
-        for mu in _FIG3_MUS:
+        for mu in (1.0, 2.0, 4.0):
             model = {"kind": "nobarrier", "n": 1, "mu": math.sqrt(mu)}
             tau = {"min": 20.0, "max": 100.0, "count": 201}
             out.append((f"_mu{mu:g}_data", _recipe("sweep", model, tau)))
@@ -318,7 +293,7 @@ def _figure_configs(name: str) -> list[tuple[str, ExperimentConfig]]:
         return out
     if name == "fig4":
         out = []
-        for mu in _FIG4_MUS:
+        for mu in (1.0, 2.0, 4.0):
             model = {"kind": "barrier", "n": 100, "mu": math.sqrt(mu),
                      "alpha": 0.1, "beta": 0.1}
             tau = {"min": 20.0, "max": 100.0, "count": 161}
@@ -406,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         threads = _thread_count(args.threads)
         raw = {}
         if args.config is not None:
-            raw = json.loads(args.config.read_text())
+            raw = _json_object("config", json.loads(args.config.read_text()))
         if args.mode:
             raw["mode"] = args.mode
         if args.figure:

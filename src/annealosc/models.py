@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -75,11 +75,15 @@ class ModelSpec:
                 for name in ("alpha", "beta"):
                     if not math.isfinite(getattr(self, name)):
                         raise ValueError(f"{name} must be finite")
+                try:
+                    math.pow(self.n, self.beta)
+                except OverflowError:
+                    raise ValueError(f"beta must give a finite peak height n**beta, "
+                                     f"got {self.beta} with n = {self.n}") from None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        known = {"kind", "n", "mu", "alpha", "beta", "big_n", "big_m"}
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown ModelSpec fields: {sorted(extra)}")
         return cls(**d)

@@ -28,14 +28,12 @@ def _write_config(tmp_path, payload, name="cfg.json"):
 def test_tau_grid_values_and_validation():
     lin = TauGrid(min=10.0, max=20.0, count=3)
     assert np.allclose(lin.values(), [10.0, 15.0, 20.0])
-    log = TauGrid(min=1.0, max=100.0, count=3, spacing="log")
-    assert np.allclose(log.values(), [1.0, 10.0, 100.0])
     assert TauGrid(min=5.0, max=5.0, count=1).values().tolist() == [5.0]
     with pytest.raises(ValueError):
         TauGrid(min=0.0, max=10.0, count=5)
     with pytest.raises(ValueError):
         TauGrid(min=10.0, max=5.0, count=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the grid is linear: spacing is not a field
         TauGrid(min=1.0, max=2.0, count=5, spacing="cubic")
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -93,11 +91,21 @@ _BARRIER16 = {"kind": "barrier", "n": 16, "mu": 1.0, "alpha": 0.3, "beta": 0.5}
     ("prediction.v", {"mode": "predict", "model": _BARRIER16,
                       "prediction": {"A": 0.5, "v": True},
                       "tau_grid": {"min": 20.0, "max": 60.0, "count": 5}}),
+    # every block, and the config itself, is a JSON object
+    ("prediction", {**_SWEEP, "mode": "predict", "prediction": ["A"]}),
+    ("prediction", {**_SWEEP, "mode": "predict", "prediction": "Am"}),
+    ("model", {"mode": "gap", "model": "barrier"}),
+    ("tau_grid", {**_SWEEP, "tau_grid": [20.0, 40.0, 3]}),
+    ("evolution", {**_SWEEP, "evolution": 1e-5}),
+    ("config", [1, 2]),
 ], ids=["count-true", "count-float", "s_points-float", "fit_vary_v-string",
-        "step_tolerance-true", "mu-true", "tau-min-true", "A-true", "v-true"])
+        "step_tolerance-true", "mu-true", "tau-min-true", "A-true", "v-true",
+        "prediction-list", "prediction-string", "model-string", "tau_grid-list",
+        "evolution-number", "config-list"])
 def test_config_field_types_exit_1_before_output(tmp_path, capsys, field, payload):
-    # a JSON true is not the number 1, and an integer or boolean field takes
-    # no float or string: each is a validation error before any file is written
+    # a JSON true is not the number 1, an integer or boolean field takes no
+    # float or string, and a block is an object: each is a validation error
+    # before any file is written
     cfg = _write_config(tmp_path, payload)
     out = tmp_path / "out"
     out.mkdir()
@@ -232,6 +240,34 @@ def test_sweep_mode_outputs_and_determinism(tmp_path):
 def test_sweep_mode_requires_tau_grid(tmp_path):
     cfg = _write_config(tmp_path, {"mode": "sweep", "model": NOBARRIER})
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("message, payload", [
+    ("sweep mode requires a tau_grid", {"mode": "sweep", "model": NOBARRIER}),
+    ("sweep mode requires a tau_grid", {"mode": "sweep", "model": NOBARRIER,
+                                        "tau_grid": None}),
+    ("predict mode requires a tau_grid", {"mode": "predict", "model": NOBARRIER}),
+    ("fit mode requires a tau_grid", {"mode": "fit", "model": _BARRIER16}),
+    ("grover mode requires a grover model", {"mode": "grover", "model": _BARRIER16}),
+], ids=["sweep", "sweep-null", "predict", "fit", "grover-barrier"])
+def test_mode_requirements_exit_1_before_output(tmp_path, capsys, message, payload):
+    # the config is checked before any analysis or sweep runs
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_null_blocks_are_absent(tmp_path):
+    # "evolution": null runs with the default evolution, not a traceback
+    payload = {**_SWEEP, "evolution": None, "prediction": None}
+    assert ExperimentConfig.from_dict(payload) == ExperimentConfig.from_dict(_SWEEP)
+    cfg = _write_config(tmp_path, payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    snap = json.loads((tmp_path / "sweep_config.json").read_text())
+    assert snap["evolution"] == {"step_tolerance": 1e-8, "max_steps": 1 << 22}
 
 
 def test_sweep_numerical_failure_exit_code(tmp_path):

@@ -33,6 +33,10 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             ModelSpec(**bad)
     assert ModelSpec(kind="cubic", n=np.int64(4)).n == 4
+    # a peak height n**beta beyond the float range is a ValueError, not an OverflowError
+    for n in (16, np.int64(16)):
+        with pytest.raises(ValueError, match="^beta must give a finite peak height"):
+            ModelSpec(kind="barrier", n=n, alpha=0.3, beta=400.0)
 
 
 def test_nobarrier_diagonal_n4():
