@@ -9,7 +9,9 @@ tree, in pairs whose order alternates, with the same seed within a pair and
 the run length of BENCHMARK.json.  Writes BENCH_<label>.json at the
 repository root: for every end-to-end metric, each side's median and
 quartiles, every run's value and in how many pairs the working tree was
-better; then the correctness of every run and a note on the machine.
+better; then the correctness of every run and a note on the machine.  On
+stderr it then prints each metric's two medians, their relative change and
+the pairs won, and warns when a run was incorrect or had failed operations.
 """
 
 import argparse
@@ -86,6 +88,13 @@ def main() -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
+    for name, m in metrics.items():
+        b, c = m["base"]["median"], m["change"]["median"]
+        rel = f"{(c - b) / b:+.1%}" if b else "n/a"
+        print(f"{name}: base {b:.4g} -> change {c:.4g} {m['unit']} ({rel}), "
+              f"change better in {m['change_won']}/{m['pairs']} pairs", file=sys.stderr)
+    if not report["all_correct"]:
+        print("warning: a run was incorrect or had failed operations", file=sys.stderr)
     return 0
 
 

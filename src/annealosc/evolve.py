@@ -239,6 +239,8 @@ def tau_sweep(model: ReducedHamiltonian, taus: np.ndarray,
               cfg: EvolutionConfig = EvolutionConfig()) -> SweepResult:
     """Leakage probability P(tau) for every tau, order-aligned with taus."""
     taus = np.asarray(taus, float)
+    if taus.ndim != 1 or taus.size == 0:
+        raise ValueError(f"taus must be a non-empty 1-d array, got shape {taus.shape}")
     if not np.all((taus > 0) & (taus < math.inf)):
         raise ValueError("all taus must be positive and finite")
     if np.any(np.diff(taus) <= 0):

@@ -13,7 +13,12 @@ evolve's propagator all call it.  It has three cases:
 - all other decompositions (dense models, full spectra up to dimension 32)
   by batched dense eigh.
 
-Every lowest pair it returns is residual-checked.
+The lowest levels also come as values only: on a tridiagonal model they come
+from bisection alone, which fixes each eigenvalue by its Sturm counts (Barth,
+Martin & Wilkinson, Numer. Math. 9 (1967) 386), so they are bitwise the values
+of the pairs.  The Gauss-Kronrod nodes and curvature points of
+`locate_crossing` take this form.  Every pair that is returned is still
+residual-checked.
 
 `locate_crossing` finds the gap minimum s* and the two points where the gap
 is 2g as roots, using the slope Delta'(s) that Hellmann-Feynman gives from the
@@ -21,8 +26,8 @@ eigenvectors of each eigensolve: s* by safeguarded secant steps from the trace
 cell where the trace's own slopes change sign, the 2g points by Newton steps,
 both sides in one batch.  It integrates the gap by QUADPACK's 21-point
 Gauss-Kronrod rule on adaptively bisected panels graded out from s*; each
-round of nodes is one `_eigs` batch, and omega_- and omega_+ are each within
-_QUAD_TOL absolute.
+round of nodes is one values-only `_eigs` batch, and omega_- and omega_+ are
+each within _QUAD_TOL absolute.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
-from .models import ReducedHamiltonian, _check_s
+from .models import ReducedHamiltonian, _check_int, _check_s
 # unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 2
 from scipy.linalg import eigh  # noqa: F401
 from .models import hamiltonian_at, tridiagonal_bands  # noqa: F401
@@ -68,30 +73,34 @@ _WORKSPACE_BYTES = 1 << 20
 _STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
 
 
-def _lowest_tridiagonal(diag: np.ndarray, off: np.ndarray, m: int
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def _lowest_tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool = True
+                        ) -> tuple[np.ndarray, np.ndarray | None]:
     """Lowest m eigenvalues (k, m) and eigenvectors (k, d, m), ascending, of
     the k symmetric tridiagonal matrices with diagonals diag (k, d) and
     off-diagonals off (k, d - 1); each pair checked to
-    ||Hv - lv|| <= 1e-10 max(max|l|, 1)."""
+    ||Hv - lv|| <= 1e-10 max(max|l|, 1).  Without vectors, the eigenvalues
+    come from bisection alone and None takes the vectors' place."""
     k, d = diag.shape
-    w, v = np.empty((k, m)), np.empty((k, d, m))
+    w = np.empty((k, m))
+    v = np.empty((k, d, m)) if vectors else None
     for i in range(k):
         # range 2 = by index (il..iu, 1-based), abstol 0 (LAPACK's default);
         # order "B" (by split-off block) is the order dstein takes
         found, wi, iblock, isplit, info = _STEBZ(diag[i], off[i], 2, 0.0, 0.0,
                                                  1, m, 0.0, "B")
-        if info == 0 and found == m:
+        if vectors and info == 0 and found == m:
             vi, info = _STEIN(diag[i], off[i], wi[:m], iblock, isplit)
         if info or found != m:
             raise np.linalg.LinAlgError(
                 f"tridiagonal eigensolver failed (info {info}, {found} of {m} pairs)")
-        w[i], v[i] = wi[:m], vi
         # a zero off-diagonal (h1 of a qubit model is diagonal) splits the
         # matrix into blocks, and block order need not be ascending
-        if isplit[0] < d:
-            order = np.argsort(w[i])
-            w[i], v[i] = w[i, order], v[i][:, order]
+        order = np.argsort(wi[:m]) if isplit[0] < d else slice(None)
+        w[i] = wi[:m][order]
+        if vectors:
+            v[i] = vi[:, order]
+    if not vectors:
+        return w, None
     r = (diag[..., None] - w[:, None, :]) * v  # Hv - lv, band by band
     r[:, :-1] += off[..., None] * v[:, 1:]
     r[:, 1:] += off[..., None] * v[:, :-1]
@@ -101,41 +110,51 @@ def _lowest_tridiagonal(diag: np.ndarray, off: np.ndarray, m: int
     return w, v
 
 
-def _eigs(model: ReducedHamiltonian, g, lowest: int | None = None
-          ) -> tuple[np.ndarray, np.ndarray]:
+def _eigs(model: ReducedHamiltonian, g, lowest: int | None = None, vectors: bool = True
+          ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues (k, m) and eigenvectors (k, d, m) of H = h0 + g (h1 - h0)
     at the k schedule values g, ascending: all d levels, or the `lowest` m.
+    With vectors=False (lowest levels only) the eigenvalues come alone, as
+    (w, None).
 
-    - lowest m of a tridiagonal model: `_lowest_tridiagonal`, at any dimension;
+    - lowest m of a tridiagonal model: `_lowest_tridiagonal`, at any
+      dimension; values only by bisection alone, bitwise the paired values;
     - all levels of a tridiagonal model above _DENSE_EIGH_MAX_DIM:
       eigh_tridiagonal per matrix;
     - otherwise (dense models, smaller tridiagonal full spectra): batched
-      dense eigh, in batches whose stacks fit in _WORKSPACE_BYTES.
+      dense eigh, in batches whose stacks fit in _WORKSPACE_BYTES; values
+      only drop its vectors.
 
-    Every lowest-m pair is checked to ||Hv - lv|| <= 1e-10 max(max|l|, 1).
+    Every lowest-m pair that is returned is checked to
+    ||Hv - lv|| <= 1e-10 max(max|l|, 1).
     """
     g = np.asarray(g, float)
     if not np.isfinite(g).all():
         raise ValueError("schedule values must be finite")
+    if not vectors and lowest is None:
+        raise ValueError("eigenvalues alone are computed for the lowest levels only")
     d, m = model.dim, lowest or model.dim
     h0, h1 = model.h0, model.h1
     if model.tridiagonal and (lowest is not None or d > _DENSE_EIGH_MAX_DIM):
         diag = h0.diagonal() + g[:, None] * (h1.diagonal() - h0.diagonal())
         off = h0.diagonal(1) + g[:, None] * (h1.diagonal(1) - h0.diagonal(1))
         if lowest is not None:
-            return _lowest_tridiagonal(diag, off, m)
+            return _lowest_tridiagonal(diag, off, m, vectors)
         w, v = np.empty((len(g), d)), np.empty((len(g), d, d))
         for k in range(len(g)):
             w[k], v[k] = eigh_tridiagonal(diag[k], off[k])
         return w, v
     dh = h1 - h0
-    w, v = np.empty((len(g), m)), np.empty((len(g), d, m))
+    w = np.empty((len(g), m))
+    v = np.empty((len(g), d, m)) if vectors else None
     batch = max(1, _WORKSPACE_BYTES // (16 * d * d))  # matrix and vector stacks
     for i in range(0, len(g), batch):
         h = h0 + g[i:i + batch, None, None] * dh
         wb, vb = np.linalg.eigh(h)
-        w[i:i + batch], v[i:i + batch] = wb[:, :m], vb[..., :m]
-        if lowest is not None:
+        w[i:i + batch] = wb[:, :m]
+        if vectors:
+            v[i:i + batch] = vb[..., :m]
+        if vectors and lowest is not None:
             resid = np.linalg.norm(h @ vb[..., :m] - vb[..., :m] * wb[:, None, :m], axis=1)
             scale = np.maximum(np.abs(wb).max(axis=1), 1.0)  # ||H||_2
             if np.any(resid > 1e-10 * scale[:, None]):
@@ -241,6 +260,7 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
     """
     refine = grid is None
     if refine:
+        _check_int("n_points", n_points)
         if n_points < 64:
             raise ValueError("need at least 64 grid points")
         grid = np.linspace(0.0, 1.0, n_points)
@@ -332,9 +352,11 @@ def _gap_integrals(model: ReducedHamiltonian, edges: np.ndarray, groups: np.ndar
 
     Panel j is [edges[j], edges[j + 1]] and adds to group groups[j].  Each
     round evaluates the 21 Gauss-Kronrod nodes of every open panel in one
-    `_eigs` batch, accepts a panel whose QUADPACK error estimate is at most
-    its width's share of tol, and bisects the others.  Raises RuntimeError
-    rather than evaluate more than _QK_MAX_PANELS panels.
+    values-only `_eigs` batch (the lowest two eigenvalues, from bisection
+    alone on a tridiagonal model; no eigenvectors), accepts a panel whose
+    QUADPACK error estimate is at most its width's share of tol, and bisects
+    the others.  Raises RuntimeError rather than evaluate more than
+    _QK_MAX_PANELS panels.
     """
     a, b = edges[:-1], edges[1:]
     share = tol / np.bincount(groups, weights=b - a)  # tolerance per unit width
@@ -347,7 +369,7 @@ def _gap_integrals(model: ReducedHamiltonian, edges: np.ndarray, groups: np.ndar
                                f"{evaluated - len(a)} Gauss-Kronrod panels")
         half = 0.5 * (b - a)
         nodes = 0.5 * (a + b)[:, None] + half[:, None] * _XK
-        lam, _ = _eigs(model, model.schedule(nodes.ravel()), 2)
+        lam, _ = _eigs(model, model.schedule(nodes.ravel()), 2, vectors=False)
         f = (lam[:, 1] - lam[:, 0]).reshape(nodes.shape)
         kronrod = f @ _WK
         # QUADPACK's error estimate: |K - G| scaled by the variation resasc,
@@ -546,7 +568,8 @@ def locate_crossing(trace: GapTrace) -> CrossingParams:
     # curvature of Delta**2 at the minimum: exact second difference for the
     # Landau-Zener parabola, sampled well inside the crossing region
     h = min(w / 4.0, s_star, 1.0 - s_star)
-    lam, _ = _eigs(model, model.schedule(np.array([s_star + h, s_star - h])), 2)
+    lam, _ = _eigs(model, model.schedule(np.array([s_star + h, s_star - h])), 2,
+                   vectors=False)
     up, down = (lam[:, 1] - lam[:, 0]).tolist()
     curv = (up**2 - 2.0 * g**2 + down**2) / h**2
     v = math.sqrt(max(curv / 2.0, 0.0))

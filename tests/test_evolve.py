@@ -152,6 +152,16 @@ def test_sweep_validates_taus(nobarrier1):
             tau_sweep(nobarrier1, np.array([5.0, bad]))
 
 
+@pytest.mark.parametrize("taus", [np.array([]), np.array(5.0)], ids=["empty", "0-d"])
+def test_sweep_rejects_empty_and_scalar_taus(nobarrier1, monkeypatch, taus):
+    # an empty array decomposed 256 matrices for an empty result, and a 0-d
+    # one failed inside np.diff; both are refused before any eigensolve
+    monkeypatch.setattr(evolve, "_eigs", lambda *a, **k: pytest.fail("_eigs called"))
+    monkeypatch.setattr(evolve, "_two_lowest", lambda *a: pytest.fail("_two_lowest called"))
+    with pytest.raises(ValueError, match="taus"):
+        tau_sweep(nobarrier1, taus)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_sweep_result_rejects_non_finite(bad):
     good = np.array([1.0, 2.0])

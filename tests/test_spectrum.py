@@ -107,6 +107,13 @@ def test_trace_rejects_short_grid(nobarrier1):
         gap_trace(nobarrier1, n_points=32)
 
 
+@pytest.mark.parametrize("bad", [200.5, True])
+def test_trace_rejects_non_integer_n_points(nobarrier1, bad):
+    # a float failed inside np.linspace, and True was read as 1
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        gap_trace(nobarrier1, n_points=bad)
+
+
 def test_barrier84_interior_minimum(barrier84_trace, barrier84_crossing):
     cr = barrier84_crossing
     assert cr.kind == "avoided"
@@ -244,15 +251,23 @@ def test_locate_crossing_batches_its_evaluations(monkeypatch, barrier84_trace):
     # scalar evaluation took 415 calls of one matrix each; the graded panels
     # need 273 matrices (399 from one panel per side), and the slope roots
     # 5 secant steps of one matrix and 2 Newton steps of two, plus the two
-    # curvature points: 10 calls and 284 matrices
-    matrices = []
+    # curvature points: 10 calls and 284 matrices.  Only the 9 matrices of
+    # the slope roots need eigenvectors (one dstein call each); the
+    # Gauss-Kronrod nodes and curvature points take eigenvalues alone.
+    matrices, slope_matrices, stein = [], [], []
     real = spectrum._eigs
     monkeypatch.setattr(spectrum, "_eigs",
-                        lambda m, g, *a: matrices.append(len(g)) or real(m, g, *a))
+                        lambda m, g, *a, **k: matrices.append(len(g)) or real(m, g, *a, **k))
+    real_slope = spectrum._gap_slope
+    monkeypatch.setattr(spectrum, "_gap_slope",
+                        lambda m, s: slope_matrices.append(len(s)) or real_slope(m, s))
+    real_stein = spectrum._STEIN
+    monkeypatch.setattr(spectrum, "_STEIN", lambda *a: stein.append(1) or real_stein(*a))
     monkeypatch.setattr(spectrum, "gap_at", lambda *a: pytest.fail("gap_at called"))
     assert locate_crossing(barrier84_trace).kind == "avoided"
     assert len(matrices) <= 12
     assert sum(matrices) <= 290
+    assert len(stein) == sum(slope_matrices) <= 9
 
 
 def test_unattainable_quad_tol_raises(monkeypatch, nobarrier1_trace):
@@ -261,7 +276,7 @@ def test_unattainable_quad_tol_raises(monkeypatch, nobarrier1_trace):
     matrices = []
     real = spectrum._eigs
     monkeypatch.setattr(spectrum, "_eigs",
-                        lambda m, g, *a: matrices.append(len(g)) or real(m, g, *a))
+                        lambda m, g, *a, **k: matrices.append(len(g)) or real(m, g, *a, **k))
     monkeypatch.setattr(spectrum, "_QUAD_TOL", 1e-300)
     with pytest.raises(RuntimeError, match="Gauss-Kronrod panels"):
         locate_crossing(nobarrier1_trace)
@@ -612,12 +627,21 @@ def _assert_lowest_pairs_match_dense(model, g, w, v):
         assert np.abs(v[k] * signs - want_v[:, :2]).max() <= 1e-12
 
 
+def _assert_values_only_bitwise(model, g, w):
+    w_only, v_none = spectrum._eigs(model, g, 2, vectors=False)
+    assert v_none is None and np.array_equal(w_only, w)
+
+
 def test_lowest_pairs_ascending_on_split_matrix():
     model = _split_end_model()
     w, v = spectrum._eigs(model, [1.0], 2)
     assert w[0].tolist() == [0.0, 1.0]
     _assert_lowest_pairs_match_dense(model, [1.0], w, v)
     assert ground_state(model, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
+    # values alone come in the same ascending order, on the split and on the
+    # unsplit matrix, from the tridiagonal kernel and from batched eigh
+    for m in (model, dataclasses.replace(model, tridiagonal=False)):
+        _assert_values_only_bitwise(m, [0.3, 1.0], spectrum._eigs(m, [0.3, 1.0], 2)[0])
 
 
 @pytest.mark.parametrize("spec", [
@@ -631,6 +655,7 @@ def test_lowest_pairs_match_dense_eigh(spec):
     g = model.schedule(s)
     w, v = spectrum._eigs(model, g, 2)
     _assert_lowest_pairs_match_dense(model, g, w, v)
+    _assert_values_only_bitwise(model, g, w)
 
 
 def test_lowest_pairs_residual_checked(monkeypatch, barrier84):
@@ -652,6 +677,25 @@ def test_lowest_pairs_lapack_failure_raises(monkeypatch, barrier84, routine):
                         lambda *args: (*real(*args)[:-1], 1))  # info = 1
     with pytest.raises(np.linalg.LinAlgError):
         gap_at(barrier84, 0.3)
+
+
+def test_values_only_lapack_failure_raises(monkeypatch):
+    # a monotone gap: locate_crossing decomposes only Gauss-Kronrod nodes,
+    # all of them values only, so the dstebz check alone must catch it
+    _, trace = _crossing_model("nobarrier_mu40")
+    stein = []
+    real_stein = spectrum._STEIN
+    monkeypatch.setattr(spectrum, "_STEIN", lambda *a: stein.append(1) or real_stein(*a))
+    real = spectrum._STEBZ
+    monkeypatch.setattr(spectrum, "_STEBZ", lambda *args: (*real(*args)[:-1], 1))  # info = 1
+    with pytest.raises(np.linalg.LinAlgError):
+        locate_crossing(trace)
+    assert not stein
+
+
+def test_values_only_needs_lowest(barrier84):
+    with pytest.raises(ValueError, match="lowest"):
+        spectrum._eigs(barrier84, [0.5], vectors=False)
 
 
 def test_eigs_rejects_non_finite_schedule(barrier84):
