@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .evolve import ConvergenceError, EvolutionConfig, SweepResult, tau_sweep
-from .fit import fit_A, fit_A_v
+from .fit import _check_sweep, fit_A, fit_A_v
 from .models import ModelSpec, _check_int, _check_not_bool, build_model
 from .predict import (LargeGapParams, grover_gamma, grover_omega,
                       grover_period, predict_grover, predict_large_gap,
@@ -230,7 +230,9 @@ def run_fit(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
     if crossing.kind != "avoided":
         raise ValueError(
             f"fit mode needs an avoided crossing; gap analysis says {crossing.kind!r}")
-    sweep = run_sweep_config(cfg.model, cfg.tau_grid.values(), cfg.evolution)
+    taus = cfg.tau_grid.values()
+    _check_sweep(taus, crossing.omega)
+    sweep = run_sweep_config(cfg.model, taus, cfg.evolution)
     if cfg.fit_vary_v:
         p = split_params_from_crossing(crossing, rho0, rho1, v=crossing.v, m=m)
         result = fit_A_v(sweep, p)

@@ -132,11 +132,12 @@ class FitResult:
         }
 
 
-def _check_sweep(sweep: SweepResult, p: SplitParams) -> None:
-    if len(sweep.taus) < 20:
+def _check_sweep(taus: np.ndarray, omega: float) -> None:
+    """A fit needs at least 20 taus spanning at least 3 periods 2 pi / omega,
+    omega = omega_- + omega_+; the CLI checks its tau grid before sweeping."""
+    if len(taus) < 20:
         raise ValueError("need at least 20 sweep points")
-    span = sweep.taus[-1] - sweep.taus[0]
-    omega = p.omega_minus + p.omega_plus
+    span = taus[-1] - taus[0]
     if span * omega < 3 * 2 * math.pi:
         raise ValueError("sweep must span at least 3 oscillation periods")
 
@@ -151,7 +152,7 @@ def fit_A(sweep: SweepResult, p: SplitParams) -> FitResult:
     The least-squares A is exact (see `_exact_A`); the fit is converged when
     it lies strictly inside (0, _A_MAX).
     """
-    _check_sweep(sweep, p)
+    _check_sweep(sweep.taus, p.omega_minus + p.omega_plus)
     taus, probs = sweep.taus, sweep.probs
     s, r = _fixed_terms(p, taus, probs)
     a_hat, _sse, on_edge = _exact_A(np.array([p.v]), p.g, p.m, taus, s, r, _A_MAX)
@@ -181,7 +182,7 @@ def fit_A_v(sweep: SweepResult, p: SplitParams,
         raise ValueError(f"need 0 < v_range[0] < v_range[1] < inf, got {v_range}")
     if not n_scan >= 3:
         raise ValueError(f"n_scan must be at least 3, got {n_scan}")
-    _check_sweep(sweep, p)
+    _check_sweep(sweep.taus, p.omega_minus + p.omega_plus)
     taus, probs = sweep.taus, sweep.probs
     s, r = _fixed_terms(p, taus, probs)
 

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# perfbench/reference.py, the independent dense reference the tests check
+# the package against, is imported as `reference`
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from annealosc import ModelSpec, build_model, gap_trace, locate_crossing
 

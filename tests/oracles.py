@@ -1,23 +1,27 @@
-"""Independent brute-force oracles used by the tests.
+"""Test helpers around perfbench/reference.py, the tests' one independent
+reference.
 
-Everything here works in the full (unreduced) space or via generic
-quadrature/finite differences, deliberately sharing no code path with the
-reduced-basis implementations it checks.  The exceptions are cf4_reference,
-a plain per-exponential loop of the same CF4 scheme that checks the vectorised
-propagator step for step, and gap_trace_reference, a per-point gap trace that
-checks the batched one point for point, and exact_A_reference, the
-three-predict_split closed-form A fit that checks the vectorised profile, and
-gap_integrals_reference, scipy's quad on the scalar gap, which checks the
-batched Gauss-Kronrod gap integrals, and fit_A_v_golden, the golden-section
-search of the fit profile that the joint fit used before its slope root, on
-the package's own profile.
-The helpers eigensystem_lowest, dH_ds, gamma_at, golden_min, nobarrier_gap,
-evolve_schrodinger, evolve_two_level (with its TwoLevelAmplitudes) and
-fit_single_frequency left the package when no code in it called them any
-more; they live here for the tests that use them.  evolve_schrodinger is the
-package's CF4 sweep for one tau, with a norm check; evolve_two_level is the
-DOP853 eigenbasis cross-check of the amplitude integral and of the reduced
-sweeps, next to the full-space DOP853 oracle integrate_schrodinger_full.
+`reference` imports nothing from annealosc: it builds every model's dense
+H(s) from the model formulas, and has the gap, the DOP853 leakage and the
+no-barrier and search closed forms.  The tests take their reference H(s),
+cost f(k), gap and leakage from it; `dense_reference` maps a ModelSpec to
+its model, and gap_integrals_reference runs scipy's quad on its gap.  The
+2^n- and N-dimensional builders (full_qubit_hamiltonians,
+symmetric_sector_*, full_grover_hamiltonian) and integrate_schrodinger_full
+check the reduced spaces against the full ones.
+
+The rest wrap package internals on purpose, each a slower or older form of
+a fast path that it checks: cf4_reference, a per-exponential loop of the
+CF4 scheme that checks the vectorised propagator step for step;
+gap_trace_reference, a per-point gap trace that checks the batched one point
+for point; exact_A_reference, the three-predict_split closed-form A fit that
+checks the vectorised profile; and fit_A_v_golden, the golden-section search
+(golden_min) of the fit profile that the joint fit used before its slope
+root.  evolve_schrodinger (the CF4 sweep for one tau, with a norm check),
+evolve_two_level (the DOP853 eigenbasis cross-check of the amplitude
+integral and of the reduced sweeps) and fit_single_frequency (the nested
+single-frequency baseline of the fit) left the package when no code in it
+called them any more; they live here for the tests that use them.
 """
 
 import math
@@ -29,39 +33,12 @@ from scipy.linalg import eigh, eigh_tridiagonal
 
 from annealosc import fit
 from annealosc.evolve import ConvergenceError, EvolutionConfig, _evolve_batch
-from annealosc.models import _check_s, hamiltonian_at, tridiagonal_bands
+from annealosc.models import hamiltonian_at, tridiagonal_bands
 from annealosc.predict import predict_split
 from annealosc.spectrum import (DegenerateGroundStateError, GapTrace,
-                                _crossing_refine_grid, _two_lowest, gap_at)
+                                _crossing_refine_grid)
 
-
-def eigensystem_lowest(h, k):
-    """k smallest eigenvalues (ascending) and orthonormal eigenvectors of a
-    symmetric matrix, with a residual check ||Hv - lv|| <= 1e-10 ||H||."""
-    h = np.asarray(h, float)
-    dim = h.shape[0]
-    if not 1 <= k <= dim:
-        raise ValueError(f"need 1 <= k <= {dim}, got {k}")
-    vals, vecs = eigh(h, subset_by_index=(0, k - 1))
-    scale = max(np.linalg.norm(h, 2), 1.0)
-    resid = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
-    if np.any(resid > 1e-10 * scale):
-        raise RuntimeError(f"eigensolver residual too large: {resid.max():.3e}")
-    return vals, vecs
-
-
-def dH_ds(model, s):
-    """Exact derivative g'(s) (h1 - h0)."""
-    _check_s(s)
-    return model.schedule_deriv(s) * (model.h1 - model.h0)
-
-
-def gamma_at(model, s, vecs=None):
-    """Transition matrix element <phi0|dH/ds|phi1> (sign set by the supplied
-    or freshly computed eigenvectors)."""
-    if vecs is None:
-        _, vecs = _two_lowest(model, s)
-    return float(vecs[:, 0] @ dH_ds(model, s) @ vecs[:, 1])
+import reference
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -122,29 +99,30 @@ def exact_A_reference(p, taus, probs, a_max):
     return float(cands[i]), sse[i], i < 2
 
 
-def gap_integrals_reference(model, s_star):
+def dense_reference(spec):
+    """perfbench's `reference` model for a ModelSpec: the same H(s) built
+    from the model formulas, sharing no code with `build_model`."""
+    if spec.kind == "grover":
+        return reference.search(spec.big_n, spec.big_m)
+    if spec.kind == "cubic":
+        return reference.cubic(spec.n)
+    if spec.kind == "nobarrier":
+        return reference.nobarrier(spec.n, spec.mu)
+    return reference.barrier(spec.n, spec.mu, spec.alpha, spec.beta)
+
+
+def gap_integrals_reference(dense, s_star):
     """(int_0^s* Delta ds, int_s*^1 Delta ds) by scipy's adaptive quad on the
-    scalar gap at epsabs = epsrel = 1e-14; s_star NaN (no crossing) gives
-    (int_0^1 Delta ds, 0).  On some gaps quad warns that roundoff keeps it
-    from 1e-14 relative; it then stops near that level, far inside the 1e-10
-    the tests allow."""
+    reference gap of a `dense_reference` model at epsabs = epsrel = 1e-14;
+    s_star NaN (no crossing) gives (int_0^1 Delta ds, 0).  On some gaps quad
+    warns that roundoff keeps it from 1e-14 relative; it then stops near that
+    level, far inside the 1e-10 the tests allow."""
     def side(a, b):
-        return quad(lambda s: gap_at(model, s), a, b, epsabs=1e-14, epsrel=1e-14,
-                    limit=2000)[0]
+        return quad(lambda s: reference.gap(dense, s), a, b, epsabs=1e-14,
+                    epsrel=1e-14, limit=2000)[0]
     if math.isnan(s_star):
         return side(0.0, 1.0), 0.0
     return side(0.0, s_star), side(s_star, 1.0)
-
-
-def nobarrier_gap(s, mu_sq):
-    """Closed-form no-barrier gap sqrt(1 - 2s + (1 + mu_sq) s**2), where
-    mu_sq is the square of the model's ModelSpec.mu."""
-    if mu_sq <= 0:
-        raise ValueError("mu_sq (the square of ModelSpec.mu) must be positive")
-    _check_s(s)
-    s = np.asarray(s, float)
-    out = np.sqrt(1.0 - 2.0 * s + (1.0 + mu_sq) * s**2)
-    return float(out) if out.ndim == 0 else out
 
 
 def fit_single_frequency(sweep, p):
@@ -284,14 +262,15 @@ def _two_lowest_reference(model, s):
     if model.tridiagonal:
         diag, off = tridiagonal_bands(model, s)
         return eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-    return eigensystem_lowest(hamiltonian_at(model, s), 2)
+    w, v = np.linalg.eigh(hamiltonian_at(model, s))
+    return w[:2], v[:, :2]
 
 
 def gap_trace_reference(model, n_points=201, n_refine=160):
     """gap_trace one point at a time: each H(s) from the model's own band or
-    matrix builder, its two lowest pairs from eigh_tridiagonal or
-    eigensystem_lowest, the gauge fixed point by point against the previous
-    point, gamma from dH_ds per point.  Signs are anchored as in gap_trace:
+    matrix builder, its two lowest pairs from eigh_tridiagonal or numpy's
+    eigh, the gauge fixed point by point against the previous point, gamma
+    from g'(s) (h1 - h0) per point.  Signs are anchored as in gap_trace:
     the ground state's largest-magnitude entry positive at s = 0, and
     gamma(0) >= 0."""
     grid = np.linspace(0.0, 1.0, n_points)
@@ -313,7 +292,8 @@ def gap_trace_reference(model, n_points=201, n_refine=160):
     v0 = vecs[0, :, 0]
     if v0[np.argmax(np.abs(v0))] < 0:
         vecs[0] = -vecs[0]
-    gamma = np.array([vecs[0, :, i] @ dH_ds(model, s) @ vecs[1, :, i]
+    dh = model.h1 - model.h0
+    gamma = np.array([vecs[0, :, i] @ (model.schedule_deriv(s) * dh) @ vecs[1, :, i]
                       for i, s in enumerate(grid)])
     if gamma[0] < 0:
         vecs[1] = -vecs[1]

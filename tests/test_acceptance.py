@@ -26,9 +26,10 @@ from annealosc.predict import (LargeGapParams, SplitParams, grover_gamma,
                                predict_large_gap, predict_split,
                                split_params_from_crossing)
 from annealosc.spectrum import rho_endpoints
-from oracles import (evolve_schrodinger, evolve_two_level, fit_single_frequency,
-                     full_grover_hamiltonian, full_qubit_hamiltonians,
-                     nobarrier_gap, symmetric_sector_eigenvalues)
+import reference
+from oracles import (dense_reference, evolve_schrodinger, evolve_two_level,
+                     fit_single_frequency, full_grover_hamiltonian,
+                     full_qubit_hamiltonians, symmetric_sector_eigenvalues)
 from test_cli import _cheap_recipe
 
 
@@ -96,8 +97,9 @@ def test_criterion_1_reduced_space_oracle_equivalence(capsys):
     for kind in ("barrier", "cubic"):
         for n in range(2, 9):
             kwargs = {"alpha": 0.3, "beta": 0.5} if kind == "barrier" else {}
-            model = build_model(ModelSpec(kind=kind, n=n, mu=1.0, **kwargs))
-            f = np.diag(model.h1)
+            spec = ModelSpec(kind=kind, n=n, mu=1.0, **kwargs)
+            model = build_model(spec)
+            f = np.diag(dense_reference(spec).h1)
             h0, h1 = full_qubit_hamiltonians(n, lambda k: f[k])
             for s in np.linspace(0.0, 1.0, 11):
                 reduced = np.linalg.eigvalsh(hamiltonian_at(model, s))[:3]
@@ -107,12 +109,13 @@ def test_criterion_1_reduced_space_oracle_equivalence(capsys):
     grover_ok = True
     for big_n, big_m in ((4, 1), (8, 1), (12, 1), (12, 3)):
         model = build_model(ModelSpec(kind="grover", big_n=big_n, big_m=big_m))
+        g = reference.search(big_n, big_m).g
         basis = np.zeros((big_n, 2))
         basis[:big_m, 0] = 1.0 / math.sqrt(big_m)
         basis[big_m:, 1] = 1.0 / math.sqrt(big_n - big_m)
         for s in np.linspace(0.0, 1.0, 11):
             reduced = np.linalg.eigvalsh(hamiltonian_at(model, s))
-            full = full_grover_hamiltonian(big_n, big_m, model.schedule(s))
+            full = full_grover_hamiltonian(big_n, big_m, g(s))
             subspace = np.linalg.eigvalsh(basis.T @ full @ basis)
             grover_ok &= bool(np.max(np.abs(reduced - subspace)) <= 1e-12)
             if big_m == 1:
@@ -159,7 +162,7 @@ def test_criterion_3_closed_form_gap_identities(capsys):
     for mu in (1.0, math.sqrt(2.0), 2.0):
         trace = gap_trace(build_model(ModelSpec(kind="nobarrier", n=1, mu=mu)),
                           n_points=201)
-        gap_err = np.max(np.abs(trace.delta - nobarrier_gap(trace.s, mu**2)))
+        gap_err = np.max(np.abs(trace.delta - reference.nobarrier1_gap(trace.s, mu)))
         checks[f"mu={mu:g} gap closed form"] = bool(
             gap_err <= 1e-12 and trace.delta[0] == 1.0
             and abs(trace.delta[-1] - mu) <= 1e-15)

@@ -317,6 +317,20 @@ def test_fit_mode_rejects_large_gap_model(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("tau_grid, error", [
+    ({"min": 100.0, "max": 400.0, "count": 19}, "at least 20 sweep points"),
+    ({"min": 100.0, "max": 100.5, "count": 40}, "at least 3 oscillation periods"),
+], ids=["19-taus", "short-span"])
+def test_fit_mode_checks_tau_grid_before_sweeping(tmp_path, capsys, monkeypatch,
+                                                  tau_grid, error):
+    # the fit's rule on its taus ran only after the whole sweep
+    monkeypatch.setattr(cli, "tau_sweep", lambda *a: pytest.fail("swept"))
+    payload = {"mode": "fit", "model": _BARRIER16, "tau_grid": tau_grid}
+    cfg = _write_config(tmp_path, payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert error in capsys.readouterr().err
+
+
 def test_grover_mode(tmp_path):
     payload = {"mode": "grover",
                "model": {"kind": "grover", "big_n": 64, "big_m": 1},
@@ -391,11 +405,10 @@ def test_reproduce_figure_gap_smoke(tmp_path):
 
 # ------------------------------------------------------- benchmark tracer
 
-def test_benchmark_tracer_wraps_and_restores(tmp_path, monkeypatch):
+def test_benchmark_tracer_wraps_and_restores(tmp_path):
     # perfbench/tracing.py looks up names the package keeps only for it (the
     # eigensolver imports of spectrum and evolve, cli._sweep_chunk): if one
     # goes, install() raises here and not only on a traced benchmark run
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import tracing
     names = [(spectrum, "locate_crossing"), (cli, "locate_crossing"), (spectrum, "eigh"),
              (evolve, "eigh_tridiagonal"), (evolve, "tridiagonal_bands"),

@@ -9,12 +9,12 @@ from annealosc import (EvolutionConfig, ModelSpec, build_model, ground_state,
 from annealosc import evolve, spectrum
 from annealosc.cli import main
 from annealosc.evolve import ConvergenceError, SweepResult, _propagate
-from annealosc.models import hamiltonian_at
 from annealosc.predict import amplitude_integral
 from annealosc.spectrum import gap_trace
 
+import reference
 from oracles import (cf4_reference, evolve_schrodinger, evolve_two_level,
-                     integrate_schrodinger_full)
+                     full_grover_hamiltonian, integrate_schrodinger_full)
 
 from test_spectrum import OMEGA_NB_MU1
 
@@ -56,32 +56,29 @@ def test_n1_against_large_gap_formula(nobarrier1):
 def test_methods_agree(nobarrier1):
     tau = 42.0
     p_cf4 = transition_probability(evolve_schrodinger(nobarrier1, tau), nobarrier1)
-    psi_ref = integrate_schrodinger_full(lambda s: hamiltonian_at(nobarrier1, s),
-                                         ground_state(nobarrier1, 0.0), tau)
-    p_ref = transition_probability(psi_ref, nobarrier1)
+    p_ref = reference.leakage_dop853(reference.nobarrier(1, 1.0), tau)
     assert p_cf4 == pytest.approx(p_ref, abs=1e-9)
 
 
 def test_barrier_dim17_sweep_against_dense_oracle():
-    # the per-step (dim > 8) propagation path on an avoided-crossing model
+    # a tridiagonal model with an avoided crossing, against the reference's
+    # DOP853 integration of its dense H(s)
     model = build_model(ModelSpec(kind="barrier", n=16, mu=1.0, alpha=0.3, beta=0.5))
     taus = np.array([20.0, 45.0, 70.0, 100.0])
     sweep = tau_sweep(model, taus)
-    psi0 = ground_state(model, 0.0)
+    dense = reference.barrier(16, 1.0, 0.3, 0.5)
     for tau, p in zip(taus, sweep.probs):
-        psi_ref = integrate_schrodinger_full(lambda s: hamiltonian_at(model, s),
-                                             psi0, tau)
-        assert p == pytest.approx(transition_probability(psi_ref, model), abs=1e-9)
+        assert p == pytest.approx(reference.leakage_dop853(dense, tau), abs=1e-9)
 
 
 def test_grover_against_full_space_oracle():
     big_n, big_m, tau = 4, 1, 30.0
     model = build_model(ModelSpec(kind="grover", big_n=big_n, big_m=big_m))
     psi = evolve_schrodinger(model, tau)
+    g = reference.search(big_n, big_m).g
 
     def h_full(s):
-        from oracles import full_grover_hamiltonian
-        return full_grover_hamiltonian(big_n, big_m, model.schedule(s))
+        return full_grover_hamiltonian(big_n, big_m, g(s))
 
     psi0_full = np.full(big_n, 1.0 / math.sqrt(big_n))
     psi_full = integrate_schrodinger_full(h_full, psi0_full, tau)

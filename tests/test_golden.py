@@ -1,0 +1,112 @@
+"""Golden outputs: the figure recipes fig3, fig5, fig8 and fig10 and the
+crossings of the six ORACLE_MODELS, rerun and compared with tests/golden/.
+
+Every value is compared at relative tolerance RTOL, so a change that moves
+any output past rounding shows here; the `version` and `config_hash` lines
+alone are skipped.  `python scripts/update_golden.py` rewrites the files and
+prints the largest change per file.
+"""
+
+import json
+import math
+from pathlib import Path
+
+from annealosc import ModelSpec, build_model, gap_trace, locate_crossing
+from annealosc.cli import main
+
+from test_spectrum import ORACLE_MODELS
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FIGURES = ("fig3", "fig5", "fig8", "fig10")
+RTOL = 1e-12
+# the stamps every output carries, which change with the version
+_SKIPPED = ("config_hash", "version")
+_SKIPPED_LINES = tuple(f"# {k}=" for k in _SKIPPED)
+
+
+def write_outputs(out: Path) -> None:
+    """Each figure's CSV/JSON outputs into out/<figure>/, and crossings.json
+    with each ORACLE_MODELS crossing, its floats as float.hex."""
+    for figure in FIGURES:
+        if main(["--figure", figure, "--out", str(out / figure), "--threads", "1"]) != 0:
+            raise RuntimeError(f"--figure {figure} failed")
+    crossings = {}
+    for name, (spec, n_points) in ORACLE_MODELS.items():
+        cr = locate_crossing(gap_trace(build_model(ModelSpec(**spec)), n_points=n_points))
+        crossings[name] = {"kind": cr.kind, **{
+            field: float.hex(getattr(cr, field))
+            for field in ("s_star", "g", "v", "omega_minus", "omega_plus")}}
+    (out / "crossings.json").write_text(json.dumps(crossings, indent=2, sort_keys=True) + "\n")
+
+
+def _values(path: Path) -> list:
+    """The file's values in order: CSV cells and JSON leaves, the config_hash
+    and version lines and keys left out."""
+    if path.suffix == ".csv":
+        return [cell for line in path.read_text().splitlines()
+                if not line.startswith(_SKIPPED_LINES)
+                for cell in line.split(",")]
+    out = []
+
+    def leaves(x):
+        if isinstance(x, dict):
+            for k in sorted(x):
+                if k not in _SKIPPED:
+                    out.append(k)
+                    leaves(x[k])
+        else:
+            out.append(x)
+    leaves(json.loads(path.read_text()))
+    return out
+
+
+def _number(x):
+    """x as a float if it is a JSON number, a decimal CSV cell or a
+    float.hex string, else None."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        return None
+    if isinstance(x, str) and x.lstrip("-").startswith("0x"):
+        return float.fromhex(x)
+    try:
+        return float(x)
+    except ValueError:
+        return None
+
+
+def _change(got, want) -> float:
+    """Relative change of one value: 0 when equal, NaN matching NaN; inf for
+    a moved zero, infinity or NaN, and for any other difference."""
+    a, b = _number(got), _number(want)
+    if a is None or b is None:
+        return 0.0 if got == want else math.inf
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if math.isnan(a) or b == 0.0 or not math.isfinite(b):
+        return math.inf
+    return abs(a - b) / abs(b)
+
+
+def largest_changes(got_dir: Path, want_dir: Path) -> dict[str, float]:
+    """Largest relative change of each file under want_dir against its copy
+    under got_dir; inf for a missing file or a changed shape or string."""
+    changes = {}
+    for want in sorted(p for p in want_dir.rglob("*") if p.is_file()):
+        rel = want.relative_to(want_dir).as_posix()
+        got = got_dir / rel
+        if not got.is_file():
+            changes[rel] = math.inf
+            continue
+        a, b = _values(got), _values(want)
+        changes[rel] = (max(map(_change, a, b), default=0.0) if len(a) == len(b)
+                        else math.inf)
+    extra = {p.relative_to(got_dir).as_posix() for p in got_dir.rglob("*") if p.is_file()}
+    for rel in sorted(extra - changes.keys()):
+        changes[rel] = math.inf
+    return changes
+
+
+def test_outputs_match_golden(tmp_path):
+    write_outputs(tmp_path)
+    changes = largest_changes(tmp_path, GOLDEN)
+    assert len(changes) == 21
+    assert {f: c for f, c in changes.items() if not c <= RTOL} == {}

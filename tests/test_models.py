@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from annealosc import ModelSpec, build_model, hamiltonian_at
 from annealosc.models import barrier_profile, grover_schedule, tridiagonal_bands
 
-from oracles import (central_difference, dH_ds, full_grover_hamiltonian,
+import reference
+from oracles import (central_difference, dense_reference, full_grover_hamiltonian,
                      full_qubit_hamiltonians, symmetric_sector_eigenvalues)
 
 
@@ -62,12 +63,34 @@ def test_reduced_spectrum_matches_full_space_n8(kind, kwargs):
     n = 8
     spec = ModelSpec(kind=kind, n=n, mu=1.0, **kwargs)
     model = build_model(spec)
-    f = np.diag(model.h1)
+    f = np.diag(dense_reference(spec).h1)
     full_h0, full_h1 = full_qubit_hamiltonians(n, lambda k: f[k])
     for s in [0.0, 0.25, 0.5, 0.75, 1.0]:
         reduced = np.linalg.eigvalsh(hamiltonian_at(model, s))[:3]
         full = symmetric_sector_eigenvalues(n, (1 - s) * full_h0 + s * full_h1)
         assert np.allclose(reduced, full, atol=1e-10)
+
+
+@pytest.mark.parametrize("spec", [
+    dict(kind="barrier", n=84, mu=1.0, alpha=0.3, beta=0.5),
+    dict(kind="barrier", n=100, mu=1.0, alpha=0.1, beta=0.1),
+    dict(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8),
+    dict(kind="cubic", n=30),
+    dict(kind="nobarrier", n=1, mu=40.0),
+    dict(kind="grover", big_n=64, big_m=1),
+    dict(kind="grover", big_n=12, big_m=3),
+    dict(kind="grover", big_n=4, big_m=1),
+], ids=lambda d: "-".join(str(v) for v in d.values()))
+def test_model_equals_reference_bitwise(spec):
+    # perfbench/reference.py builds every model from its formulas, sharing no
+    # code with build_model; the tests' reference H(s) relies on this equality
+    spec = ModelSpec(**spec)
+    model, dense = build_model(spec), dense_reference(spec)
+    assert np.array_equal(model.h0, dense.h0)
+    assert np.array_equal(model.h1, dense.h1)
+    s = np.linspace(0.0, 1.0, 101).tolist()
+    assert [model.schedule(x) for x in s] == [dense.g(x) for x in s]
+    assert [model.schedule_deriv(x) for x in s] == [dense.dg(x) for x in s]
 
 
 def test_nobarrier_equals_barrier_with_zero_bump():
@@ -113,13 +136,14 @@ def test_grover_reduced_matches_full_space():
     for big_n, big_m in [(4, 1), (12, 3), (9, 2)]:
         spec = ModelSpec(kind="grover", big_n=big_n, big_m=big_m)
         model = build_model(spec)
+        g = reference.search(big_n, big_m).g
         # basis of the invariant subspace: uniform target / non-target states
         basis = np.zeros((big_n, 2))
         basis[:big_m, 0] = 1.0 / math.sqrt(big_m)
         basis[big_m:, 1] = 1.0 / math.sqrt(big_n - big_m)
         for s in np.linspace(0, 1, 20):
             reduced = np.linalg.eigvalsh(hamiltonian_at(model, s))
-            full = full_grover_hamiltonian(big_n, big_m, model.schedule(s))
+            full = full_grover_hamiltonian(big_n, big_m, g(s))
             subspace = np.linalg.eigvalsh(basis.T @ full @ basis)
             assert np.allclose(reduced, subspace, atol=1e-12)
             if big_m == 1:
@@ -154,18 +178,18 @@ def test_hamiltonian_rejects_out_of_range(nobarrier1):
 
 
 def test_dh_ds_constant_for_linear_schedule(nobarrier1):
-    assert np.array_equal(dH_ds(nobarrier1, 0.1), dH_ds(nobarrier1, 0.9))
-    assert np.allclose(dH_ds(nobarrier1, 0.3),
-                       nobarrier1.h1 - nobarrier1.h0, atol=1e-15)
+    dh = reference.nobarrier(1, 1.0).dh
+    assert np.array_equal(dh(0.1), dh(0.9))
+    assert np.allclose(dh(0.3), nobarrier1.h1 - nobarrier1.h0, atol=1e-15)
 
 
 def test_dh_ds_grover_finite_difference(grover64):
+    dh = reference.search(64, 1).dh
     for s in [0.2, 0.5, 0.8]:
         fd = central_difference(lambda x: hamiltonian_at(grover64, x), s)
-        assert np.allclose(fd, dH_ds(grover64, s), atol=1e-7)
+        assert np.allclose(fd, dh(s), atol=1e-7)
     # schedule odd about s = 1/2 -> derivative norms symmetric
-    assert np.linalg.norm(dH_ds(grover64, 0.3)) == pytest.approx(
-        np.linalg.norm(dH_ds(grover64, 0.7)), rel=1e-12)
+    assert np.linalg.norm(dh(0.3)) == pytest.approx(np.linalg.norm(dh(0.7)), rel=1e-12)
 
 
 def test_tridiagonal_bands_consistent(barrier84):

@@ -16,6 +16,7 @@ from annealosc.predict import (amplitude_integral, grover_gamma, grover_gap,
                                split_params_from_crossing)
 from annealosc.spectrum import CrossingParams
 
+import reference
 from oracles import evolve_two_level
 from test_spectrum import OMEGA_NB_MU1
 
@@ -261,10 +262,10 @@ def test_grover_gamma_symmetry_and_endpoints(grover64):
 
 def test_grover_gamma_matches_matrix_element(grover64):
     from annealosc.spectrum import _two_lowest
-    from oracles import gamma_at
+    dense = reference.search(64, 1)
     for s in [0.0, 0.25, 0.5, 0.75, 1.0]:
         _, vecs = _two_lowest(grover64, s)
-        assert abs(gamma_at(grover64, s, vecs)) == pytest.approx(
+        assert abs(vecs[:, 0] @ dense.dh(s) @ vecs[:, 1]) == pytest.approx(
             grover_gamma(64, 1, s), abs=1e-8)
 
 

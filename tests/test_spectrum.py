@@ -9,12 +9,13 @@ from scipy.integrate import quad
 from annealosc import (ModelSpec, build_model, gap_trace, ground_state,
                        locate_crossing, rho_endpoints)
 from annealosc import spectrum
-from annealosc.models import ReducedHamiltonian, hamiltonian_at
+from annealosc.models import ReducedHamiltonian
 from annealosc.spectrum import DegenerateGroundStateError, gap_at
 
-from oracles import (eigensystem_lowest, full_qubit_hamiltonians, gamma_at,
+import reference
+from oracles import (dense_reference, full_qubit_hamiltonians,
                      gap_integrals_reference, gap_trace_reference,
-                     nobarrier_gap, symmetric_sector_eigenvalues)
+                     symmetric_sector_eigenvalues)
 
 # analytic antiderivative of sqrt(1 - 2s + 2s^2): with u = s - 1/2,
 # int sqrt(2u^2 + 1/2) du = (u/2) sqrt(2u^2 + 1/2)
@@ -27,55 +28,20 @@ def test_frozen_omega_value_against_quadrature():
     assert num == pytest.approx(OMEGA_NB_MU1, abs=1e-12)
 
 
-def test_eigensystem_lowest_diagonal():
-    vals, vecs = eigensystem_lowest(np.diag([0.0, 1.0, 2.0]), 2)
-    assert np.allclose(vals, [0.0, 1.0], atol=1e-14)
-    assert np.allclose(np.abs(vecs.T @ vecs), np.eye(2), atol=1e-12)
-
-
-def test_eigensystem_lowest_pauli_x_structure():
-    vals, _ = eigensystem_lowest(np.array([[0.0, -1.0], [-1.0, 0.0]]), 2)
-    assert np.allclose(vals, [-1.0, 1.0], atol=1e-14)
-
-
-def test_eigensystem_lowest_validates_k():
-    with pytest.raises(ValueError):
-        eigensystem_lowest(np.eye(3), 0)
-    with pytest.raises(ValueError):
-        eigensystem_lowest(np.eye(3), 4)
-
-
 def test_eigensystem_matches_full_space_oracle():
     n = 8
     spec = ModelSpec(kind="barrier", n=n, mu=1.0, alpha=0.3, beta=0.5)
     model = build_model(spec)
-    f = np.diag(model.h1)
+    f = np.diag(dense_reference(spec).h1)
     full_h0, full_h1 = full_qubit_hamiltonians(n, lambda k: f[k])
-    vals, _ = eigensystem_lowest(hamiltonian_at(model, 0.5), 3)
+    vals, _ = spectrum._eigs(model, [0.5], 3)
     oracle = symmetric_sector_eigenvalues(n, 0.5 * full_h0 + 0.5 * full_h1)
-    assert np.allclose(vals, oracle, atol=1e-10)
-
-
-def test_nobarrier_gap_closed_form_values():
-    assert nobarrier_gap(0.0, 2.0) == 1.0
-    assert nobarrier_gap(1.0, 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert nobarrier_gap(0.5, 1.0) == pytest.approx(math.sqrt(0.5), abs=1e-15)
-    with pytest.raises(ValueError):
-        nobarrier_gap(0.5, -1.0)
-    for bad in (1.5, math.nan):
-        with pytest.raises(ValueError):
-            nobarrier_gap(bad, 1.0)
-
-
-def test_nobarrier_gap_takes_mu_squared():
-    # the second argument is the square of ModelSpec.mu, not mu itself
-    model = build_model(ModelSpec(kind="nobarrier", n=1, mu=40.0))
-    assert nobarrier_gap(0.5, 40.0**2) == pytest.approx(gap_at(model, 0.5), abs=1e-12)
+    assert np.allclose(vals[0], oracle, atol=1e-10)
 
 
 def test_trace_matches_closed_form_mu1(nobarrier1_trace):
     tr = nobarrier1_trace
-    assert np.allclose(tr.delta, nobarrier_gap(tr.s, 1.0), atol=1e-10)
+    assert np.allclose(tr.delta, reference.nobarrier1_gap(tr.s, 1.0), atol=1e-10)
 
 
 def test_gamma_delta_product_is_half_mu(nobarrier1_trace):
@@ -170,21 +136,8 @@ def test_refined_trace_decomposes_each_point_once(monkeypatch):
         assert np.array_equal(getattr(trace, name), getattr(fresh, name)), name
 
 
-def nobarrier_omega(mu):
-    """int_0^1 sqrt(1 - 2s + (1 + mu**2) s**2) ds, the no-barrier model's gap
-    integral, in closed form: with a = 1 + mu**2 and x = a s - 1,
-    int sqrt(Q) ds = x sqrt(Q) / (2a) + mu**2 / (2 a**1.5) asinh(x / mu)."""
-    a = 1.0 + mu**2
-
-    def antiderivative(s):
-        x = a * s - 1.0
-        return (x * math.sqrt(1.0 - 2.0 * s + a * s**2) / (2.0 * a)
-                + mu**2 / (2.0 * a**1.5) * math.asinh(x / mu))
-    return antiderivative(1.0) - antiderivative(0.0)
-
-
 def test_nobarrier_omega_closed_form():
-    assert nobarrier_omega(1.0) == pytest.approx(OMEGA_NB_MU1, abs=1e-15)
+    assert reference.nobarrier1_omega(1.0) == pytest.approx(OMEGA_NB_MU1, abs=1e-15)
 
 
 def test_monotone_gap_reports_no_crossing():
@@ -198,7 +151,7 @@ def test_monotone_gap_reports_no_crossing():
     assert math.isnan(cr.s_star) and math.isnan(cr.v)
     assert cr.g == tr.delta[0]
     assert cr.omega_plus == 0.0
-    assert cr.omega == pytest.approx(nobarrier_omega(40.0), abs=1e-10)
+    assert cr.omega == pytest.approx(reference.nobarrier1_omega(40.0), abs=1e-10)
 
 
 def test_quadrature_grid_consistency(barrier84, barrier84_crossing):
@@ -229,9 +182,9 @@ ORACLE_MODELS = {
 @pytest.mark.parametrize("name", list(ORACLE_MODELS))
 def test_gap_integrals_match_tight_quadrature(name):
     spec, n_points = ORACLE_MODELS[name]
-    model = build_model(ModelSpec(**spec))
-    cr = locate_crossing(gap_trace(model, n_points=n_points))
-    want_minus, want_plus = gap_integrals_reference(model, cr.s_star)
+    spec = ModelSpec(**spec)
+    cr = locate_crossing(gap_trace(build_model(spec), n_points=n_points))
+    want_minus, want_plus = gap_integrals_reference(dense_reference(spec), cr.s_star)
     assert abs(cr.omega_minus - want_minus) <= 1e-10
     assert abs(cr.omega_plus - want_plus) <= 1e-10
 
@@ -318,7 +271,7 @@ def test_hellmann_feynman_slope_matches_central_difference(name):
 def test_nobarrier_slope_closed_form():
     model = build_model(ModelSpec(kind="nobarrier", n=1, mu=40.0))
     s = np.array([0.0, 1.0 / 3202.0, 1.0 / 1601.0, 0.01, 0.5, 1.0])
-    want = ((1.0 + 40.0**2) * s - 1.0) / nobarrier_gap(s, 40.0**2)
+    want = ((1.0 + 40.0**2) * s - 1.0) / reference.nobarrier1_gap(s, 40.0)
     assert np.abs(_slope(model, s) - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -496,6 +449,7 @@ def test_hellmann_feynman_cross_check(barrier84):
     # gamma from the matrix element vs Delta * <phi0|d/ds phi1> by
     # finite-differencing the eigenvectors
     from annealosc.spectrum import _two_lowest
+    dense = reference.barrier(84, 1.0, 0.3, 0.5)
     delta_s = 1e-5
     for s in [0.2, 0.37, 0.8]:
         vals, vecs = _two_lowest(barrier84, s)
@@ -508,19 +462,20 @@ def test_hellmann_feynman_cross_check(barrier84):
                 vm[:, j] = -vm[:, j]
         dphi1 = (vp[:, 1] - vm[:, 1]) / (2 * delta_s)
         gap = vals[1] - vals[0]
-        assert gamma_at(barrier84, s, vecs) == pytest.approx(
+        assert vecs[:, 0] @ dense.dh(s) @ vecs[:, 1] == pytest.approx(
             gap * (vecs[:, 0] @ dphi1), abs=1e-4)
 
 
 def test_gauge_invariance_of_observables(barrier84):
     # |gamma| does not depend on eigenvector sign choices
     from annealosc.spectrum import _two_lowest
+    dense = reference.barrier(84, 1.0, 0.3, 0.5)
     rng = np.random.default_rng(7)
     for s in [0.1, 0.37, 0.9]:
         _, vecs = _two_lowest(barrier84, s)
         flipped = vecs * rng.choice([-1.0, 1.0], size=2)
-        assert abs(gamma_at(barrier84, s, vecs)) == pytest.approx(
-            abs(gamma_at(barrier84, s, flipped)), rel=1e-12)
+        assert abs(vecs[:, 0] @ dense.dh(s) @ vecs[:, 1]) == pytest.approx(
+            abs(flipped[:, 0] @ dense.dh(s) @ flipped[:, 1]), rel=1e-12)
     # endpoint product rho(0) rho(1) is fixed under a consistent global flip
     tr = gap_trace(barrier84, n_points=101)
     assert (-tr.rho[0]) * (-tr.rho[-1]) == tr.rho[0] * tr.rho[-1]
