@@ -9,9 +9,10 @@ tree, in pairs whose order alternates, with the same seed within a pair and
 the run length of BENCHMARK.json.  Writes BENCH_<label>.json at the
 repository root: for every end-to-end metric, each side's median and
 quartiles, every run's value and in how many pairs the working tree was
-better; then the correctness of every run and a note on the machine.  On
-stderr it then prints each metric's two medians, their relative change and
-the pairs won, and warns when a run was incorrect or had failed operations.
+better, and its `verdict`; then the correctness of every run and a note on
+the machine.  On stderr it then prints each metric's two medians, their
+relative change, the pairs won and the verdict, and warns when a run was
+incorrect or had failed operations.
 """
 
 import argparse
@@ -44,6 +45,36 @@ def summary(xs: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def wins(base: list, change: list, better: str) -> int:
+    """Pairs in which the change read better; ties count for neither side."""
+    sign = 1.0 if better == "lower" else -1.0
+    return sum(sign * (c - b) < 0 for b, c in zip(base, change))
+
+
+def verdict(base: list, change: list, better: str, bound: float) -> str:
+    """One metric's paired runs read by the simplicity-review rule:
+
+    - "gain": the change won at least 9/10 of the pairs and the medians
+      differ, in its favour, by more than the base runs' interquartile range;
+    - "regression": the change's median is worse than the base's by more
+      than bound (relative);
+    - "unresolved": the base IQR exceeds bound (relative to the base median),
+      so the runs cannot show the bound, and not every change run reads
+      better than every base run;
+    - otherwise "within bound".
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    q = summary(base)
+    b, c, iqr = q["median"], summary(change)["median"], q["q3"] - q["q1"]
+    if wins(base, change, better) >= 0.9 * len(base) and sign * (b - c) > iqr:
+        return "gain"
+    if sign * (c - b) > bound * abs(b):
+        return "regression"
+    if iqr > bound * abs(b) and not all(sign * (x - y) < 0 for x in change for y in base):
+        return "unresolved"
+    return "within bound"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
@@ -55,6 +86,7 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     sides = {"base": [], "change": []}
     base, head = (git("rev-parse", "--short", rev).decode().strip() for rev in (args.base, "HEAD"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -69,11 +101,12 @@ def main() -> int:
     metrics = {}
     for name, sense in better.items():
         runs = {s: [r["metrics"][name]["value"] for r in sides[s]] for s in sides}
-        wins = sum((c < b) if sense == "lower" else (c > b)
-                   for b, c in zip(runs["base"], runs["change"]))
         metrics[name] = {"unit": sides["base"][0]["metrics"][name]["unit"], "better": sense,
                          "base": summary(runs["base"]), "change": summary(runs["change"]),
-                         "change_won": wins, "pairs": args.pairs, "runs": runs}
+                         "change_won": wins(runs["base"], runs["change"], sense),
+                         "pairs": args.pairs, "bound": bounds[name],
+                         "verdict": verdict(runs["base"], runs["change"], sense, bounds[name]),
+                         "runs": runs}
     cpuinfo = Path("/proc/cpuinfo").read_text() if Path("/proc/cpuinfo").exists() else ""
     cpu = next((ln.split(":", 1)[1].strip() for ln in cpuinfo.splitlines()
                 if ln.startswith("model name")), platform.machine())
@@ -92,7 +125,8 @@ def main() -> int:
         b, c = m["base"]["median"], m["change"]["median"]
         rel = f"{(c - b) / b:+.1%}" if b else "n/a"
         print(f"{name}: base {b:.4g} -> change {c:.4g} {m['unit']} ({rel}), "
-              f"change better in {m['change_won']}/{m['pairs']} pairs", file=sys.stderr)
+              f"change better in {m['change_won']}/{m['pairs']} pairs: {m['verdict']}",
+              file=sys.stderr)
     if not report["all_correct"]:
         print("warning: a run was incorrect or had failed operations", file=sys.stderr)
     return 0

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Rewrite the golden outputs in tests/golden/ that tests/test_golden.py
-checks, and print the largest relative change of each file.
+checks, and print the largest relative change of each file ("new" for a
+file that was not there).
 
 Usage:
     PYTHONPATH=src python scripts/update_golden.py
@@ -29,7 +30,8 @@ def main() -> int:
         if test_golden.GOLDEN.is_dir():
             for name, change in test_golden.largest_changes(
                     fresh, test_golden.GOLDEN).items():
-                print(f"{name}: {change:.3g}")
+                new = not (test_golden.GOLDEN / name).is_file()
+                print(f"{name}: {'new' if new else format(change, '.3g')}")
             shutil.rmtree(test_golden.GOLDEN)
         shutil.copytree(fresh, test_golden.GOLDEN)
     print(f"wrote {test_golden.GOLDEN}")

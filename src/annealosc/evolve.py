@@ -18,9 +18,8 @@ nodes of a level in one call, and the level is worked through in chunks of
 consecutive exponentials whose workspace is capped:
 
 - the chunk's matrices h0 + g_eff (h1 - h0) are eigendecomposed by
-  spectrum's `_eigs`, the package's one eigensolver (for these full spectra,
-  one batched dense eigh, or eigh_tridiagonal per matrix for tridiagonal
-  models above dimension 32);
+  spectrum's `_eigs`, the package's one eigensolver, whose docstring says
+  which routine takes these full spectra;
 - the phases exp(-i tau w / n) of the whole chunk are formed for every tau
   at once, by table products on the tau lattice: evenly spaced taus are
   tau = rows[p] + cols[r] on a ceil(sqrt ntau)-wide grid, so cos and sin run

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import SweepResult
+from .models import _check_int
 from .predict import SplitParams, _lz_decay, _split_terms, predict_split
 from .spectrum import _secant_root
 
@@ -180,6 +181,7 @@ def fit_A_v(sweep: SweepResult, p: SplitParams,
     """
     if not 0.0 < v_range[0] < v_range[1] < math.inf:
         raise ValueError(f"need 0 < v_range[0] < v_range[1] < inf, got {v_range}")
+    _check_int("n_scan", n_scan)
     if not n_scan >= 3:
         raise ValueError(f"n_scan must be at least 3, got {n_scan}")
     _check_sweep(sweep.taus, p.omega_minus + p.omega_plus)

@@ -12,8 +12,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import _check_not_bool, _check_s, grover_schedule
+from .models import _check_int, _check_not_bool, _check_s, grover_schedule
 from .spectrum import CrossingParams, GapTrace
+
+
+def _check_params(p, *floats: str) -> None:
+    """Raise ValueError unless the named fields of p are finite and p.m is
+    an integer >= 1 (NaN passes every comparison, and a float m would scale
+    every prediction)."""
+    for name in floats:
+        if not math.isfinite(getattr(p, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(p, name)}")
+    _check_int("m", p.m)
+    if p.m < 1:
+        raise ValueError("m must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -24,10 +36,9 @@ class LargeGapParams:
     m: int = 1
 
     def __post_init__(self):
+        _check_params(self, "rho0", "rho1", "omega")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -45,6 +56,7 @@ class SplitParams:
     m: int = 1
 
     def __post_init__(self):
+        _check_params(self, "rho0", "rho1", "omega_minus", "omega_plus", "g")
         if self.omega_minus <= 0 or self.omega_plus <= 0:
             raise ValueError("omega_minus and omega_plus must be positive")
         if self.g <= 0:
@@ -55,8 +67,6 @@ class SplitParams:
             raise ValueError(f"v must be positive and finite, got {self.v}")
         if self.A is not None and not math.isfinite(self.A):
             raise ValueError(f"A must be finite, got {self.A}")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
 
     def with_values(self, **kw) -> "SplitParams":
         return replace(self, **kw)

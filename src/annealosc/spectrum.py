@@ -4,21 +4,9 @@ Conventions: Delta(s) = lambda1 - lambda0 > 0, gamma(s) = <phi0|dH/ds|phi1>
 with a sign-continuous eigenvector gauge, and rho(s) = gamma(s)/Delta(s)**2.
 
 `_eigs` is the package's one eigensolver: `gap_trace`, the scalar helpers and
-evolve's propagator all call it.  It has three cases:
-
-- the lowest levels of a tridiagonal model, at any dimension, by LAPACK
-  bisection and inverse iteration (dstebz/dstein) per matrix;
-- all levels of a tridiagonal model above dimension 32 by eigh_tridiagonal
-  per matrix;
-- all other decompositions (dense models, full spectra up to dimension 32)
-  by batched dense eigh.
-
-The lowest levels also come as values only: on a tridiagonal model they come
-from bisection alone, which fixes each eigenvalue by its Sturm counts (Barth,
-Martin & Wilkinson, Numer. Math. 9 (1967) 386), so they are bitwise the values
-of the pairs.  The Gauss-Kronrod nodes and curvature points of
-`locate_crossing` take this form.  Every pair that is returned is still
-residual-checked.
+evolve's propagator all call it, and its docstring says which routine serves
+which request.  The Gauss-Kronrod nodes and curvature points of
+`locate_crossing` take the lowest eigenvalues alone.
 
 `locate_crossing` finds the gap minimum s* and the two points where the gap
 is 2g as roots, using the slope Delta'(s) that Hellmann-Feynman gives from the
@@ -36,11 +24,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .models import ReducedHamiltonian, _check_int, _check_s
 # unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 2
-from scipy.linalg import eigh  # noqa: F401
+from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import hamiltonian_at, tridiagonal_bands  # noqa: F401
 
 
@@ -50,11 +38,12 @@ class DegenerateGroundStateError(RuntimeError):
 
 # Full spectra (evolve's exponentials) of tridiagonal models up to this
 # dimension are computed by batched dense np.linalg.eigh, larger ones by
-# eigh_tridiagonal per matrix.  Microseconds per matrix, stacks of 128 (2 vCPUs,
-# one BLAS thread; ranges are two runs):
-#   d                   13   17   29   31      33   41        85
-#   batched eigh        19   34   58   65-92   96   138-202   860
-#   eigh_tridiagonal    41   56   67   74-112  81   170-176   504
+# LAPACK's dstevd (divide and conquer) per matrix.  On tridiagonal input the two
+# give bitwise-equal pairs at every d below, so the bound is only a speed
+# choice.  Microseconds per matrix, stacks of 64 (2 vCPUs, one BLAS thread):
+#   d                    9    17    25    29    31    33
+#   batched eigh        5.7  19.6  45.5  45.5  53.7  77.7
+#   _STEVD per matrix   7.0  20.5  46.6  45.3  52.1  59.4
 _DENSE_EIGH_MAX_DIM = 32
 # Bytes of the arrays held for one batch of matrices (in evolve, one chunk):
 # a flat peak resident set at a negligible per-batch Python overhead.
@@ -70,7 +59,8 @@ _WORKSPACE_BYTES = 1 << 20
 #   _lowest_tridiagonal            18   28-34   41-42     69-77
 #   batched eigh (all d pairs)     26   58-80   154-168   427-439
 #   eigh_tridiagonal, select "i"   46   60      66-72     91-118
-_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+_STEBZ, _STEIN, _STEVD = get_lapack_funcs(("stebz", "stein", "stevd"),
+                                         dtype=np.float64)
 
 
 def _lowest_tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool = True
@@ -117,16 +107,20 @@ def _eigs(model: ReducedHamiltonian, g, lowest: int | None = None, vectors: bool
     With vectors=False (lowest levels only) the eigenvalues come alone, as
     (w, None).
 
-    - lowest m of a tridiagonal model: `_lowest_tridiagonal`, at any
-      dimension; values only by bisection alone, bitwise the paired values;
-    - all levels of a tridiagonal model above _DENSE_EIGH_MAX_DIM:
-      eigh_tridiagonal per matrix;
+    - lowest m of a tridiagonal model, at any dimension: LAPACK bisection
+      and inverse iteration (dstebz/dstein) per matrix, `_lowest_tridiagonal`.
+      Values only come from bisection alone, which fixes each eigenvalue by
+      its Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
+      386), so they are bitwise the values of the pairs;
+    - all levels of a tridiagonal model above _DENSE_EIGH_MAX_DIM: LAPACK's
+      dstevd per matrix, the routine scipy's eigh_tridiagonal runs for a
+      full spectrum, called directly (_STEVD);
     - otherwise (dense models, smaller tridiagonal full spectra): batched
       dense eigh, in batches whose stacks fit in _WORKSPACE_BYTES; values
       only drop its vectors.
 
-    Every lowest-m pair that is returned is checked to
-    ||Hv - lv|| <= 1e-10 max(max|l|, 1).
+    A LAPACK failure raises LinAlgError.  Every lowest-m pair that is
+    returned is checked to ||Hv - lv|| <= 1e-10 max(max|l|, 1).
     """
     g = np.asarray(g, float)
     if not np.isfinite(g).all():
@@ -142,7 +136,9 @@ def _eigs(model: ReducedHamiltonian, g, lowest: int | None = None, vectors: bool
             return _lowest_tridiagonal(diag, off, m, vectors)
         w, v = np.empty((len(g), d)), np.empty((len(g), d, d))
         for k in range(len(g)):
-            w[k], v[k] = eigh_tridiagonal(diag[k], off[k])
+            w[k], v[k], info = _STEVD(diag[k], off[k])
+            if info:
+                raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info {info})")
         return w, v
     dh = h1 - h0
     w = np.empty((len(g), m))

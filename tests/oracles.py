@@ -10,12 +10,13 @@ its model, and gap_integrals_reference runs scipy's quad on its gap.  The
 symmetric_sector_*, full_grover_hamiltonian) and integrate_schrodinger_full
 check the reduced spaces against the full ones.
 
-The rest wrap package internals on purpose, each a slower or older form of
-a fast path that it checks: cf4_reference, a per-exponential loop of the
-CF4 scheme that checks the vectorised propagator step for step;
-gap_trace_reference, a per-point gap trace that checks the batched one point
-for point; exact_A_reference, the three-predict_split closed-form A fit that
-checks the vectorised profile; and fit_A_v_golden, the golden-section search
+The rest are each a slower or older form of a fast path that they check.
+cf4_reference, a per-exponential loop of the CF4 scheme, checks the
+vectorised propagator step for step, and gap_trace_reference, a per-point
+gap trace, checks the batched one point for point; both take H(s) from
+`dense_reference`.  Two wrap package internals on purpose:
+exact_A_reference, the three-predict_split closed-form A fit that checks the
+vectorised profile, and fit_A_v_golden, the golden-section search
 (golden_min) of the fit profile that the joint fit used before its slope
 root.  evolve_schrodinger (the CF4 sweep for one tau, with a norm check),
 evolve_two_level (the DOP853 eigenbasis cross-check of the amplitude
@@ -33,7 +34,6 @@ from scipy.linalg import eigh, eigh_tridiagonal
 
 from annealosc import fit
 from annealosc.evolve import ConvergenceError, EvolutionConfig, _evolve_batch
-from annealosc.models import hamiltonian_at, tridiagonal_bands
 from annealosc.predict import predict_split
 from annealosc.spectrum import (DegenerateGroundStateError, GapTrace,
                                 _crossing_refine_grid)
@@ -235,53 +235,53 @@ def evolve_two_level(trace, tau, m=1):
     return TwoLevelAmplitudes(c0=complex(c0), c1=complex(c1), m=m)
 
 
-def cf4_reference(model, taus, n_substeps, psi0):
-    """CF4 with n_substeps exponentials, one at a time: H from the model's own
-    band or matrix builder at both Gauss nodes of each step, each effective H
-    eigendecomposed on its own and applied in complex arithmetic.  Returns
+def cf4_reference(spec, taus, n_substeps, psi0):
+    """CF4 with n_substeps exponentials, one at a time: H from spec's
+    `dense_reference` model at both Gauss nodes of each step, each effective H
+    eigendecomposed on its own (eigh_tridiagonal on the bands of a qubit
+    model, eigh otherwise) and applied in complex arithmetic.  Returns
     dim x ntau."""
+    dense = dense_reference(spec)
     a1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
     a2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
     h = 2.0 / n_substeps
-    d = model.dim
     psi = np.tile(psi0.astype(complex)[:, None], (1, len(taus)))
     for k in range(n_substeps // 2):
         nodes = [(k + 0.5 - math.sqrt(3.0) / 6.0) * h, (k + 0.5 + math.sqrt(3.0) / 6.0) * h]
-        if model.tridiagonal:
-            x1, x2 = (np.concatenate(tridiagonal_bands(model, s)) for s in nodes)
-        else:
-            x1, x2 = (hamiltonian_at(model, s) for s in nodes)
+        x1, x2 = (dense.h(s) for s in nodes)
         for c1, c2 in ((2 * a2, 2 * a1), (2 * a1, 2 * a2)):
             x = c1 * x1 + c2 * x2
-            w, v = eigh_tridiagonal(x[:d], x[d:]) if model.tridiagonal else eigh(x)
+            w, v = (eigh(x) if spec.kind == "grover"
+                    else eigh_tridiagonal(np.diag(x), np.diag(x, 1)))
             psi = v @ (np.exp(-1j * np.outer(w, taus) / n_substeps) * (v.T @ psi))
     return psi
 
 
-def _two_lowest_reference(model, s):
-    if model.tridiagonal:
-        diag, off = tridiagonal_bands(model, s)
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-    w, v = np.linalg.eigh(hamiltonian_at(model, s))
+def _two_lowest_reference(spec, dense, s):
+    h = dense.h(s)
+    if spec.kind != "grover":
+        return eigh_tridiagonal(np.diag(h), np.diag(h, 1), select="i", select_range=(0, 1))
+    w, v = np.linalg.eigh(h)
     return w[:2], v[:, :2]
 
 
-def gap_trace_reference(model, n_points=201, n_refine=160):
-    """gap_trace one point at a time: each H(s) from the model's own band or
-    matrix builder, its two lowest pairs from eigh_tridiagonal or numpy's
-    eigh, the gauge fixed point by point against the previous point, gamma
-    from g'(s) (h1 - h0) per point.  Signs are anchored as in gap_trace:
+def gap_trace_reference(spec, n_points=201, n_refine=160):
+    """gap_trace one point at a time: each H(s) and dH/ds from spec's
+    `dense_reference` model, its two lowest pairs from eigh_tridiagonal on
+    the bands of a qubit model or numpy's eigh, the gauge fixed point by
+    point against the previous point.  Signs are anchored as in gap_trace:
     the ground state's largest-magnitude entry positive at s = 0, and
-    gamma(0) >= 0."""
+    gamma(0) >= 0.  The trace's model is None."""
+    dense = dense_reference(spec)
     grid = np.linspace(0.0, 1.0, n_points)
-    coarse = np.array([np.diff(_two_lowest_reference(model, s)[0])[0] for s in grid])
+    coarse = np.array([np.diff(_two_lowest_reference(spec, dense, s)[0])[0] for s in grid])
     extra = _crossing_refine_grid(grid, coarse, n_refine)
     grid = np.unique(np.concatenate([grid, extra]))
     npts = len(grid)
     lam = np.empty((2, npts))
-    vecs = np.empty((2, model.dim, npts))
+    vecs = np.empty((2, len(dense.h0), npts))
     for i, s in enumerate(grid):
-        vals, v = _two_lowest_reference(model, s)
+        vals, v = _two_lowest_reference(spec, dense, s)
         if vals[1] - vals[0] <= 0:
             raise DegenerateGroundStateError(f"degenerate levels at s={s}")
         for j in range(2):
@@ -292,8 +292,7 @@ def gap_trace_reference(model, n_points=201, n_refine=160):
     v0 = vecs[0, :, 0]
     if v0[np.argmax(np.abs(v0))] < 0:
         vecs[0] = -vecs[0]
-    dh = model.h1 - model.h0
-    gamma = np.array([vecs[0, :, i] @ (model.schedule_deriv(s) * dh) @ vecs[1, :, i]
+    gamma = np.array([vecs[0, :, i] @ dense.dh(s) @ vecs[1, :, i]
                       for i, s in enumerate(grid)])
     if gamma[0] < 0:
         vecs[1] = -vecs[1]
@@ -302,7 +301,7 @@ def gap_trace_reference(model, n_points=201, n_refine=160):
     overlap = np.sum(vecs[:, :, :-1] * vecs[:, :, 1:], axis=1)
     return GapTrace(s=grid, lambda0=lam[0], lambda1=lam[1], delta=delta,
                     gamma=gamma, rho=gamma / delta**2, vec0=vecs[0], vec1=vecs[1],
-                    model=model,
+                    model=None,
                     gauge_continuous=bool(np.abs(overlap).min() >= math.sqrt(0.5)))
 
 

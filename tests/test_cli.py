@@ -411,8 +411,8 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
     # goes, install() raises here and not only on a traced benchmark run
     import tracing
     names = [(spectrum, "locate_crossing"), (cli, "locate_crossing"), (spectrum, "eigh"),
-             (evolve, "eigh_tridiagonal"), (evolve, "tridiagonal_bands"),
-             (cli, "_sweep_chunk")]
+             (spectrum, "eigh_tridiagonal"), (evolve, "eigh_tridiagonal"),
+             (evolve, "tridiagonal_bands"), (cli, "_sweep_chunk")]
     before = [getattr(module, attr) for module, attr in names]
     _tracer, undo = tracing.install(tmp_path)
     try:

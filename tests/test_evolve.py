@@ -194,22 +194,23 @@ def _barrier(n):
 
 
 _REFERENCE_CASES = [
-    ("grover64", 8192),    # d = 2
-    ("barrier12", 1024),   # batched dense eigh, sequential real-GEMM apply
-    ("barrier16", 1024),
-    ("barrier84", 250),    # eigh_tridiagonal per matrix
+    ("grover64", dict(kind="grover", big_n=64, big_m=1), 8192),  # d = 2
+    # batched dense eigh, sequential real-GEMM apply
+    ("barrier12", dict(kind="barrier", n=12, mu=1.0, alpha=0.3, beta=0.5), 1024),
+    ("barrier16", dict(kind="barrier", n=16, mu=1.0, alpha=0.3, beta=0.5), 1024),
+    # dstevd per matrix
+    ("barrier84", dict(kind="barrier", n=84, mu=1.0, alpha=0.3, beta=0.5), 250),
 ]
 
 
-@pytest.mark.parametrize("case, n_substeps, taus, q", [
-    pytest.param(case, n, taus, q, id=f"{case}-{n}{suffix}")
+@pytest.mark.parametrize("spec, n_substeps, taus, q", [
+    pytest.param(ModelSpec(**spec), n, taus, q, id=f"{case}-{n}{suffix}")
     for taus, q, suffix in (
         (np.array([20.0, 37.0, 61.5, 90.0, 140.0]), 1, ""),  # direct phases
         (np.linspace(20.0, 140.0, 9), 3, "-lattice"))        # table products
-    for case, n in _REFERENCE_CASES])
-def test_propagate_matches_per_exponential_reference(request, case, n_substeps, taus, q):
-    model = request.getfixturevalue(case) if case in ("grover64", "barrier84") \
-        else _barrier(int(case[len("barrier"):]))
+    for case, spec, n in _REFERENCE_CASES])
+def test_propagate_matches_per_exponential_reference(spec, n_substeps, taus, q):
+    model = build_model(spec)
     rows, cols = evolve._tau_lattice(taus)
     assert len(cols) == q
     # the level ends in a partial chunk
@@ -217,7 +218,7 @@ def test_propagate_matches_per_exponential_reference(request, case, n_substeps, 
     assert chunk < n_substeps and n_substeps % chunk
     psi0 = ground_state(model, 0.0)
     psi = _propagate(model, taus, n_substeps, psi0)
-    ref = cf4_reference(model, taus, n_substeps, psi0)
+    ref = cf4_reference(spec, taus, n_substeps, psi0)
     assert np.linalg.norm(psi - ref, axis=0).max() <= 1e-12
 
 

@@ -336,7 +336,7 @@ def test_fit_a_rejects_bad_a_max(a_max):
     {"a_max": math.nan}, {"a_max": math.inf}, {"a_max": 0.0},
     {"v_range": (50.0, 0.02)}, {"v_range": (0.5, 0.5)}, {"v_range": (0.0, 50.0)},
     {"v_range": (0.02, math.inf)}, {"v_range": (math.nan, 50.0)},
-    {"n_scan": 2}, {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-9},
+    {"n_scan": 2}, {"n_scan": 4.5}, {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-9},
     {"tol": math.inf},
 ])
 def test_fit_a_v_rejects_bad_arguments(kw):

@@ -97,6 +97,11 @@ def test_large_gap_validation():
         LargeGapParams(rho0=0.5, rho1=0.5, omega=-1.0)
     with pytest.raises(ValueError):
         LargeGapParams(rho0=0.5, rho1=0.5, omega=1.0, m=0)
+    # NaN passes every comparison, and a float or bool m would scale P
+    for bad in ({"omega": math.nan}, {"omega": math.inf}, {"rho0": math.nan},
+                {"rho1": math.nan}, {"rho1": -math.inf}, {"m": 2.5}, {"m": True}):
+        with pytest.raises(ValueError):
+            LargeGapParams(**({"rho0": 0.5, "rho1": 0.5, "omega": 1.0} | bad))
     p = LargeGapParams(rho0=0.5, rho1=0.5, omega=1.0)
     with pytest.raises(ValueError):
         predict_large_gap(p, -3.0)
@@ -168,9 +173,13 @@ def test_split_validation():
         _split().with_values(g=-0.1)
     with pytest.raises(ValueError):
         _split().with_values(omega_minus=0.0)
-    for m in (0, -1):
+    for m in (0, -1, 2.5, True):
         with pytest.raises(ValueError):
             _split(m=m)
+    for name in ("g", "omega_minus", "omega_plus", "rho0", "rho1"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                _split().with_values(**{name: value})
 
 
 @pytest.fixture

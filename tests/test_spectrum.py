@@ -1,14 +1,17 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import interpolate, optimize
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 from annealosc import (ModelSpec, build_model, gap_trace, ground_state,
                        locate_crossing, rho_endpoints)
 from annealosc import spectrum
+from annealosc.cli import main
 from annealosc.models import ReducedHamiltonian
 from annealosc.spectrum import DegenerateGroundStateError, gap_at
 
@@ -510,8 +513,9 @@ def test_gap_at_matches_trace(barrier84, barrier84_trace):
     dict(kind="nobarrier", n=1, mu=1.0),
 ], ids=lambda d: f"{d['kind']}{d.get('n') or d.get('big_n')}")
 def test_trace_matches_per_point_reference(spec):
-    model = build_model(ModelSpec(**spec))
-    tr, ref = gap_trace(model), gap_trace_reference(model)
+    spec = ModelSpec(**spec)
+    model = build_model(spec)
+    tr, ref = gap_trace(model), gap_trace_reference(spec)
     assert np.array_equal(tr.s, ref.s)
     for name in ("lambda0", "lambda1", "delta"):
         assert np.abs(getattr(tr, name) - getattr(ref, name)).max() <= 1e-13, name
@@ -521,7 +525,8 @@ def test_trace_matches_per_point_reference(spec):
     for name in ("vec0", "vec1"):
         assert np.abs(getattr(tr, name) - getattr(ref, name)).max() <= 1e-12, name
     assert tr.gauge_continuous == ref.gauge_continuous
-    cr, want = locate_crossing(tr), locate_crossing(ref)
+    cr = locate_crossing(tr)
+    want = locate_crossing(dataclasses.replace(ref, model=model))
     assert cr.kind == want.kind
     for name in ("s_star", "g", "omega_minus", "omega_plus"):
         assert getattr(cr, name) == pytest.approx(getattr(want, name), abs=1e-9,
@@ -646,6 +651,36 @@ def test_values_only_lapack_failure_raises(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         locate_crossing(trace)
     assert not stein
+
+
+@pytest.mark.parametrize("spec", [
+    dict(kind="barrier", n=84, mu=1.0, alpha=0.3, beta=0.5),
+    dict(kind="barrier", n=100, mu=1.0, alpha=0.1, beta=0.1),
+    dict(kind="cubic", n=40),
+], ids=lambda d: f"{d['kind']}{d['n']}")
+def test_full_tridiagonal_spectra_match_eigh_tridiagonal(spec):
+    # above _DENSE_EIGH_MAX_DIM, _eigs calls dstevd, the routine scipy's
+    # eigh_tridiagonal runs for a full spectrum, without scipy's wrapper
+    model = build_model(ModelSpec(**spec))
+    assert model.dim > spectrum._DENSE_EIGH_MAX_DIM
+    g = np.concatenate([[0.0, 1.0], np.random.default_rng(7).uniform(0, 1, 6)])
+    w, v = spectrum._eigs(model, g)
+    for k in range(len(g)):
+        h = model.h0 + g[k] * (model.h1 - model.h0)  # the bands _eigs forms
+        want_w, want_v = eigh_tridiagonal(h.diagonal(), h.diagonal(1))
+        assert np.array_equal(w[k], want_w) and np.array_equal(v[k], want_v)
+
+
+def test_full_spectrum_lapack_failure_raises(monkeypatch, barrier84, tmp_path):
+    real = spectrum._STEVD
+    monkeypatch.setattr(spectrum, "_STEVD", lambda *args: (*real(*args)[:-1], 1))  # info = 1
+    with pytest.raises(np.linalg.LinAlgError):
+        spectrum._eigs(barrier84, [0.5])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "sweep", "model": dict(kind="barrier", n=40, mu=1.0, alpha=0.3, beta=0.5),
+        "tau_grid": {"min": 20.0, "max": 30.0, "count": 2}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_values_only_needs_lowest(barrier84):
