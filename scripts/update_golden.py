@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""Rewrite the golden outputs in tests/golden/ that tests/test_golden.py
-checks, and print the largest relative change of each file ("new" for a
-file that was not there).
+"""Bring the golden outputs in tests/golden/ that tests/test_golden.py
+checks up to date, and print the largest relative change of each file.
+
+Only a file that is new ("new") or whose values moved is written; a file
+whose values are all unchanged keeps its old stamp lines, so the files
+that moved stand out in the diff.  A file that is no longer produced is
+deleted ("deleted").
 
 Usage:
     PYTHONPATH=src python scripts/update_golden.py
@@ -23,18 +27,35 @@ sys.path.append(str(ROOT / "perfbench"))
 import test_golden  # noqa: E402
 
 
+def sync(fresh: Path, golden: Path) -> dict[str, str]:
+    """Copy each file under fresh that is not under golden or whose values
+    moved, delete each file under golden that fresh lacks (and the
+    directories that leaves empty), and leave the rest as they are.
+    Returns each file's largest relative change, "new" or "deleted"."""
+    table = {}
+    for name, change in test_golden.largest_changes(fresh, golden).items():
+        src, dst = fresh / name, golden / name
+        if not src.is_file():
+            dst.unlink()
+            table[name] = "deleted"
+            continue
+        table[name] = "new" if not dst.is_file() else format(change, ".3g")
+        if change > 0:
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(src, dst)
+    for d in sorted((p for p in golden.rglob("*") if p.is_dir()), reverse=True):
+        if not any(d.iterdir()):
+            d.rmdir()
+    return table
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         fresh = Path(tmp) / "golden"
         test_golden.write_outputs(fresh)
-        if test_golden.GOLDEN.is_dir():
-            for name, change in test_golden.largest_changes(
-                    fresh, test_golden.GOLDEN).items():
-                new = not (test_golden.GOLDEN / name).is_file()
-                print(f"{name}: {'new' if new else format(change, '.3g')}")
-            shutil.rmtree(test_golden.GOLDEN)
-        shutil.copytree(fresh, test_golden.GOLDEN)
-    print(f"wrote {test_golden.GOLDEN}")
+        for name, label in sync(fresh, test_golden.GOLDEN).items():
+            print(f"{name}: {label}")
+    print(f"updated {test_golden.GOLDEN}")
     return 0
 
 

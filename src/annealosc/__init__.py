@@ -1,6 +1,6 @@
 """Near-adiabatic annealing simulations and leakage-oscillation analysis."""
 
-__version__ = "0.10.3"
+__version__ = "0.11.0"
 
 from .models import ModelSpec, ReducedHamiltonian, build_model, hamiltonian_at
 from .spectrum import (CrossingParams, GapTrace, gap_trace, locate_crossing,

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands  # noqa: F401
 from .models import _check_int, _check_not_bool
-from .spectrum import _WORKSPACE_BYTES, _eigs, _two_lowest
+from .spectrum import _eigs, _two_lowest
 
 
 class ConvergenceError(RuntimeError):
@@ -52,6 +52,9 @@ class ConvergenceError(RuntimeError):
 
 # substeps of the first doubling level
 _INITIAL_STEPS = 256
+# Bytes of the arrays held for one chunk of exponentials: a flat peak
+# resident set at a negligible per-chunk Python overhead.
+_WORKSPACE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)

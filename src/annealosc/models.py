@@ -1,10 +1,11 @@
 """Reduced-basis Hamiltonian paths for symmetric-qubit annealing and adiabatic search.
 
 Each model is a pair of endpoint matrices (h0, h1) plus an annealing schedule
-g(s), with H(s) = (1 - g(s)) h0 + g(s) h1.  The symmetric qubit models live in
-the Hamming-weight basis (dimension n+1); the search model lives in the
-2-dimensional invariant subspace spanned by the uniform superpositions of
-target and non-target basis states.
+g(s), with H(s) = (1 - g(s)) h0 + g(s) h1, and every model is a symmetric
+tridiagonal pair.  The symmetric qubit models live in the Hamming-weight basis
+(dimension n+1), where the transverse field couples only neighbouring weights;
+the search model lives in the 2-dimensional invariant subspace spanned by the
+uniform superpositions of target and non-target basis states.
 """
 
 from __future__ import annotations
@@ -91,23 +92,26 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ReducedHamiltonian:
-    """A Hamiltonian path H(s) = (1 - g(s)) h0 + g(s) h1 in a reduced basis."""
+    """H(s) = (1 - g(s)) h0 + g(s) h1, h0 and h1 a symmetric tridiagonal pair."""
 
-    dim: int
     h0: np.ndarray
     h1: np.ndarray
     schedule: Callable[[float], float]
     schedule_deriv: Callable[[float], float]
-    tridiagonal: bool = False
     label: str = ""
 
     def __post_init__(self):
         for m in (self.h0, self.h1):
             if m.shape != (self.dim, self.dim):
-                raise ValueError("endpoint matrix shape does not match dim")
-            if not np.array_equal(m, m.T):
-                raise ValueError("endpoint matrices must be symmetric")
+                raise ValueError(f"h0 {self.h0.shape} and h1 {self.h1.shape} must be square "
+                                 f"matrices of one shape")
+            if not np.array_equal(m, m.T) or np.triu(m, 2).any():
+                raise ValueError("endpoint matrices must be symmetric and tridiagonal")
             m.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.h0.shape[0]
 
 
 def barrier_profile(n: int, alpha: float, beta: float) -> np.ndarray:
@@ -124,7 +128,7 @@ def barrier_profile(n: int, alpha: float, beta: float) -> np.ndarray:
     peak = math.comb(width, width // 2)
     b = np.zeros(n + 1)
     for k in range(center - width // 2, center + width // 2 + 1):
-        b[k] = n**beta * math.comb(width, k - center + width // 2) / peak
+        b[k] = n**beta * (math.comb(width, k - center + width // 2) / peak)
     return b
 
 
@@ -165,7 +169,7 @@ def build_model(spec: ModelSpec) -> ReducedHamiltonian:
         u = np.array([math.sqrt(big_m / big_n), math.sqrt((big_n - big_m) / big_n)])
         g, g_deriv = grover_schedule(big_n, big_m)
         return ReducedHamiltonian(
-            dim=2, h0=-np.outer(u, u), h1=np.diag([0.0, 1.0]),
+            h0=-np.outer(u, u), h1=np.diag([0.0, 1.0]),
             schedule=g, schedule_deriv=g_deriv, label=f"grover(N={big_n},M={big_m})")
     n = spec.n
     k = np.arange(n + 1, dtype=float)
@@ -178,9 +182,8 @@ def build_model(spec: ModelSpec) -> ReducedHamiltonian:
         label = f"barrier(n={n},mu={spec.mu},a={spec.alpha},b={spec.beta})"
     off = np.sqrt(k[1:] * (n - k[:-1])) / 2.0
     return ReducedHamiltonian(
-        dim=n + 1, h0=np.diag(off, 1) + np.diag(off, -1), h1=np.diag(f),
-        schedule=_identity_schedule, schedule_deriv=_identity_schedule_deriv,
-        tridiagonal=True, label=label)
+        h0=np.diag(off, 1) + np.diag(off, -1), h1=np.diag(f),
+        schedule=_identity_schedule, schedule_deriv=_identity_schedule_deriv, label=label)
 
 
 def _check_s(s) -> None:
@@ -198,11 +201,6 @@ def hamiltonian_at(model: ReducedHamiltonian, s: float) -> np.ndarray:
 
 
 def tridiagonal_bands(model: ReducedHamiltonian, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of H(s) for tridiagonal (qubit) models."""
-    if not model.tridiagonal:
-        raise ValueError("model is not tridiagonal")
-    _check_s(s)
-    g = model.schedule(s)
-    diag = (1.0 - g) * np.diag(model.h0) + g * np.diag(model.h1)
-    off = (1.0 - g) * np.diag(model.h0, 1) + g * np.diag(model.h1, 1)
-    return diag, off
+    """(diagonal, off-diagonal) of H(s)."""
+    h = hamiltonian_at(model, s)
+    return np.diag(h), np.diag(h, 1)

@@ -90,8 +90,8 @@ def predict_large_gap(p: LargeGapParams, tau):
 
 def landau_zener_amplitude(A: float, g: float, v: float, tau):
     """Lambda(tau) = A exp(-pi g^2 tau / (4 v))."""
-    if g <= 0 or v <= 0:
-        raise ValueError("g and v must be positive")
+    if not (math.isfinite(A) and 0 < g < math.inf and 0 < v < math.inf):
+        raise ValueError(f"need a finite A and positive finite g, v; got {A}, {g}, {v}")
     tau = _taus(tau)
     out = A * _lz_decay(g, v, tau)
     return float(out) if out.ndim == 0 else out
@@ -200,10 +200,17 @@ def amplitude_integral(trace: GapTrace, tau: float) -> complex:
     return complex(segs.sum())
 
 
-def grover_omega(big_n: int, big_m: int) -> float:
-    """Oscillation frequency sqrt(M/N) artanh(sqrt((N-M)/N)) / arctan(sqrt((N-M)/M))."""
+def _check_search(big_n: int, big_m: int) -> None:
+    """Raise ValueError unless N and M are integers with 1 <= M < N."""
+    _check_int("big_n", big_n)
+    _check_int("big_m", big_m)
     if not 1 <= big_m < big_n:
         raise ValueError(f"need 1 <= M < N, got M={big_m}, N={big_n}")
+
+
+def grover_omega(big_n: int, big_m: int) -> float:
+    """Oscillation frequency sqrt(M/N) artanh(sqrt((N-M)/N)) / arctan(sqrt((N-M)/M))."""
+    _check_search(big_n, big_m)
     frac = big_m / big_n
     return math.sqrt(frac) * math.atanh(math.sqrt(1.0 - frac)) / math.atan(
         math.sqrt((big_n - big_m) / big_m))
@@ -217,6 +224,8 @@ def grover_period(big_n: int, big_m: int) -> float:
 
 def grover_gap(big_n: int, big_m: int, s):
     """Gap sqrt(1 - 4 (1-g) g (N-M)/N) under the optimal schedule."""
+    _check_search(big_n, big_m)
+    _check_s(s)
     g, _ = grover_schedule(big_n, big_m)
     gs = g(np.asarray(s, float))
     out = np.sqrt(1.0 - 4.0 * (1.0 - gs) * gs * (big_n - big_m) / big_n)
@@ -227,8 +236,7 @@ def grover_gamma(big_n: int, big_m: int, s):
     """Coupling gamma(s) = g'(s) sqrt(M(N-M)) / (N Delta(s)) under the optimal
     schedule; symmetric about s = 1/2 with gamma(0) = gamma(1) =
     arctan(sqrt((N-M)/M))."""
-    if not 1 <= big_m < big_n:
-        raise ValueError(f"need 1 <= M < N, got M={big_m}, N={big_n}")
+    _check_search(big_n, big_m)
     _check_s(s)
     s = np.asarray(s, float)
     _, gp = grover_schedule(big_n, big_m)

@@ -36,20 +36,18 @@ class DegenerateGroundStateError(RuntimeError):
     """Raised when the two lowest levels coincide (Delta <= 0)."""
 
 
-# Full spectra (evolve's exponentials) of tridiagonal models up to this
-# dimension are computed by batched dense np.linalg.eigh, larger ones by
-# LAPACK's dstevd (divide and conquer) per matrix.  On tridiagonal input the two
-# give bitwise-equal pairs at every d below, so the bound is only a speed
-# choice.  Microseconds per matrix, stacks of 64 (2 vCPUs, one BLAS thread):
+# Every model is a symmetric tridiagonal pair; its lowest pairs come from
+# _lowest_tridiagonal at any dimension.  Full spectra (evolve's exponentials)
+# up to this dimension come from one batched np.linalg.eigh, larger ones from
+# LAPACK's dstevd (divide and conquer) per matrix; the two give bitwise-equal
+# pairs at every d below, so the bound is only a speed choice.  Microseconds
+# per matrix, stacks of 64 (2 vCPUs, one BLAS thread):
 #   d                    9    17    25    29    31    33
 #   batched eigh        5.7  19.6  45.5  45.5  53.7  77.7
 #   _STEVD per matrix   7.0  20.5  46.6  45.3  52.1  59.4
 _DENSE_EIGH_MAX_DIM = 32
-# Bytes of the arrays held for one batch of matrices (in evolve, one chunk):
-# a flat peak resident set at a negligible per-batch Python overhead.
-_WORKSPACE_BYTES = 1 << 20
 
-# The lowest pairs of a tridiagonal model at any dimension come from LAPACK's
+# The lowest pairs of every model at any dimension come from LAPACK's
 # bisection (dstebz) and inverse iteration (dstein), called directly: scipy's
 # eigh_tridiagonal runs the same two routines behind argument validation that
 # costs about as much as they do at these sizes.  Microseconds per matrix for
@@ -107,54 +105,40 @@ def _eigs(model: ReducedHamiltonian, g, lowest: int | None = None, vectors: bool
     With vectors=False (lowest levels only) the eigenvalues come alone, as
     (w, None).
 
-    - lowest m of a tridiagonal model, at any dimension: LAPACK bisection
-      and inverse iteration (dstebz/dstein) per matrix, `_lowest_tridiagonal`.
-      Values only come from bisection alone, which fixes each eigenvalue by
-      its Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
-      386), so they are bitwise the values of the pairs;
-    - all levels of a tridiagonal model above _DENSE_EIGH_MAX_DIM: LAPACK's
-      dstevd per matrix, the routine scipy's eigh_tridiagonal runs for a
-      full spectrum, called directly (_STEVD);
-    - otherwise (dense models, smaller tridiagonal full spectra): batched
-      dense eigh, in batches whose stacks fit in _WORKSPACE_BYTES; values
-      only drop its vectors.
+    Every model is a symmetric tridiagonal pair, so the routine follows from
+    the request and the dimension alone:
 
-    A LAPACK failure raises LinAlgError.  Every lowest-m pair that is
-    returned is checked to ||Hv - lv|| <= 1e-10 max(max|l|, 1).
+    - lowest m, at any dimension: LAPACK bisection and inverse iteration
+      (dstebz/dstein) per matrix, `_lowest_tridiagonal`, which checks each
+      pair to ||Hv - lv|| <= 1e-10 max(max|l|, 1).  Values only come from
+      bisection alone, which fixes each eigenvalue by its Sturm counts
+      (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386), so they are
+      bitwise the values of the pairs;
+    - all levels up to _DENSE_EIGH_MAX_DIM: one batched dense
+      np.linalg.eigh;
+    - all levels above it: LAPACK's dstevd per matrix, the routine scipy's
+      eigh_tridiagonal runs for a full spectrum, called directly (_STEVD).
+
+    A LAPACK failure raises LinAlgError.
     """
     g = np.asarray(g, float)
     if not np.isfinite(g).all():
         raise ValueError("schedule values must be finite")
     if not vectors and lowest is None:
         raise ValueError("eigenvalues alone are computed for the lowest levels only")
-    d, m = model.dim, lowest or model.dim
     h0, h1 = model.h0, model.h1
-    if model.tridiagonal and (lowest is not None or d > _DENSE_EIGH_MAX_DIM):
-        diag = h0.diagonal() + g[:, None] * (h1.diagonal() - h0.diagonal())
-        off = h0.diagonal(1) + g[:, None] * (h1.diagonal(1) - h0.diagonal(1))
-        if lowest is not None:
-            return _lowest_tridiagonal(diag, off, m, vectors)
-        w, v = np.empty((len(g), d)), np.empty((len(g), d, d))
-        for k in range(len(g)):
-            w[k], v[k], info = _STEVD(diag[k], off[k])
-            if info:
-                raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info {info})")
-        return w, v
-    dh = h1 - h0
-    w = np.empty((len(g), m))
-    v = np.empty((len(g), d, m)) if vectors else None
-    batch = max(1, _WORKSPACE_BYTES // (16 * d * d))  # matrix and vector stacks
-    for i in range(0, len(g), batch):
-        h = h0 + g[i:i + batch, None, None] * dh
-        wb, vb = np.linalg.eigh(h)
-        w[i:i + batch] = wb[:, :m]
-        if vectors:
-            v[i:i + batch] = vb[..., :m]
-        if vectors and lowest is not None:
-            resid = np.linalg.norm(h @ vb[..., :m] - vb[..., :m] * wb[:, None, :m], axis=1)
-            scale = np.maximum(np.abs(wb).max(axis=1), 1.0)  # ||H||_2
-            if np.any(resid > 1e-10 * scale[:, None]):
-                raise RuntimeError(f"eigensolver residual too large: {resid.max():.3e}")
+    if lowest is None and model.dim <= _DENSE_EIGH_MAX_DIM:
+        return np.linalg.eigh(h0 + g[:, None, None] * (h1 - h0))
+    diag = h0.diagonal() + g[:, None] * (h1.diagonal() - h0.diagonal())
+    off = h0.diagonal(1) + g[:, None] * (h1.diagonal(1) - h0.diagonal(1))
+    if lowest is not None:
+        return _lowest_tridiagonal(diag, off, lowest, vectors)
+    d = model.dim
+    w, v = np.empty((len(g), d)), np.empty((len(g), d, d))
+    for k in range(len(g)):
+        w[k], v[k], info = _STEVD(diag[k], off[k])
+        if info:
+            raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info {info})")
     return w, v
 
 
@@ -349,10 +333,9 @@ def _gap_integrals(model: ReducedHamiltonian, edges: np.ndarray, groups: np.ndar
     Panel j is [edges[j], edges[j + 1]] and adds to group groups[j].  Each
     round evaluates the 21 Gauss-Kronrod nodes of every open panel in one
     values-only `_eigs` batch (the lowest two eigenvalues, from bisection
-    alone on a tridiagonal model; no eigenvectors), accepts a panel whose
-    QUADPACK error estimate is at most its width's share of tol, and bisects
-    the others.  Raises RuntimeError rather than evaluate more than
-    _QK_MAX_PANELS panels.
+    alone; no eigenvectors), accepts a panel whose QUADPACK error estimate
+    is at most its width's share of tol, and bisects the others.  Raises
+    RuntimeError rather than evaluate more than _QK_MAX_PANELS panels.
     """
     a, b = edges[:-1], edges[1:]
     share = tol / np.bincount(groups, weights=b - a)  # tolerance per unit width

@@ -5,8 +5,9 @@ rerun and compared with tests/golden/.
 
 Every value is compared at relative tolerance RTOL, so a change that moves
 any output past rounding shows here; the `version` and `config_hash` lines
-alone are skipped.  `python scripts/update_golden.py` rewrites the files and
-prints the largest change per file.
+alone are skipped.  `python scripts/update_golden.py` writes the files that
+are new or moved, deletes those no longer produced, and prints the largest
+change per file.
 """
 
 import json

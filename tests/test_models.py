@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annealosc import ModelSpec, build_model, hamiltonian_at
-from annealosc.models import barrier_profile, grover_schedule, tridiagonal_bands
+from annealosc.models import (ReducedHamiltonian, barrier_profile, grover_schedule,
+                              tridiagonal_bands)
 
 import reference
 from oracles import (central_difference, dense_reference, full_grover_hamiltonian,
@@ -75,6 +76,11 @@ def test_reduced_spectrum_matches_full_space_n8(kind, kwargs):
     dict(kind="barrier", n=84, mu=1.0, alpha=0.3, beta=0.5),
     dict(kind="barrier", n=100, mu=1.0, alpha=0.1, beta=0.1),
     dict(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8),
+    # the bump's product n**beta * (comb / peak) in the order the reference
+    # forms it; in the other order these differ in one ulp of an entry
+    dict(kind="barrier", n=12, mu=1.0, alpha=0.3, beta=0.5),
+    dict(kind="barrier", n=40, mu=1.0, alpha=0.26, beta=0.46),
+    dict(kind="barrier", n=100, mu=1.0, alpha=0.3, beta=0.5),
     dict(kind="cubic", n=30),
     dict(kind="nobarrier", n=1, mu=40.0),
     dict(kind="grover", big_n=64, big_m=1),
@@ -197,6 +203,23 @@ def test_tridiagonal_bands_consistent(barrier84):
     dense = hamiltonian_at(barrier84, 0.37)
     assert np.allclose(diag, np.diag(dense), atol=1e-15)
     assert np.allclose(off, np.diag(dense, 1), atol=1e-15)
+
+
+def test_reduced_hamiltonian_needs_tridiagonal_pair():
+    # every model is a symmetric tridiagonal pair of one shape; dim follows
+    h0 = np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)
+    h1 = np.diag([0.0, 1.0, 2.0])
+
+    def model(h0, h1):
+        return ReducedHamiltonian(h0=h0, h1=h1, schedule=lambda s: s,
+                                  schedule_deriv=lambda s: 1.0)
+    assert model(h0, h1).dim == 3
+    wide = h0.copy()
+    wide[0, 2] = wide[2, 0] = 0.1
+    for bad_h0, bad_h1 in [(wide, h1), (h1, wide), (h0, np.eye(2)), (h0, np.eye(4)),
+                           (np.ones((2, 3)), np.ones((2, 3))), (h0 + np.eye(3, k=1), h1)]:
+        with pytest.raises(ValueError):
+            model(bad_h0, bad_h1)
 
 
 @settings(deadline=None, max_examples=30)

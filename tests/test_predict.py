@@ -120,8 +120,10 @@ def test_landau_zener_amplitude_limits():
     a1 = landau_zener_amplitude(1.0, g, v, tau)
     a2 = landau_zener_amplitude(1.0, g, 2 * v, tau)
     assert a2 == pytest.approx(math.sqrt(a1), rel=1e-12)
-    with pytest.raises(ValueError):
-        landau_zener_amplitude(1.0, -0.1, 1.0, 10.0)
+    for args in [(1.0, -0.1, 1.0), (math.nan, 0.3, 1.0), (math.inf, 0.3, 1.0),
+                 (1.0, math.nan, 1.0), (1.0, 0.3, math.nan), (1.0, 0.3, math.inf)]:
+        with pytest.raises(ValueError):
+            landau_zener_amplitude(*args, 10.0)
 
 
 def _split(a=0.2, v=0.5, m=1):
@@ -223,6 +225,10 @@ def test_grover_omega_frozen_value():
         grover_omega(8, 8)
     with pytest.raises(ValueError):
         grover_omega(8, 0)
+    # a float N or M would be read as a search-space size or target count
+    for big_n, big_m in [(64.5, 1), (64, 1.5), (64, True)]:
+        with pytest.raises(ValueError):
+            predict_grover(big_n, big_m, 10.0)
 
 
 @pytest.mark.parametrize("big_n,big_m", [(16, 1), (64, 1), (64, 4), (256, 1)])
@@ -255,6 +261,9 @@ def test_grover_gap_closed_form(grover64):
         assert grover_gap(64, 1, s) == pytest.approx(gap_at(grover64, s),
                                                      abs=1e-12)
     assert grover_gap(64, 1, 0.5) == pytest.approx(math.sqrt(1 / 64), abs=1e-15)
+    for args in [(4, 4, 0.5), (4, 0, 0.5), (4, 5, 0.5), (64, 1, 1.5), (64, 1, math.nan)]:
+        with pytest.raises(ValueError):
+            grover_gap(*args)
 
 
 def test_grover_gamma_symmetry_and_endpoints(grover64):

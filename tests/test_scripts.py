@@ -40,3 +40,29 @@ def test_bench_pair_wins():
     wins = _bench_pair()["wins"]
     assert wins([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "lower") == 1
     assert wins([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "higher") == 1
+
+
+def test_update_golden_writes_only_new_or_moved_files(tmp_path):
+    sync = runpy.run_path(str(SCRIPTS / "update_golden.py"))["sync"]
+    fresh, golden = tmp_path / "fresh", tmp_path / "golden"
+    files = {  # name: (fresh content, golden content), None for absent
+        "same.csv": ("# version=0.2\ntau,p\n20,0.5\n", "# version=0.1\ntau,p\n20,0.5\n"),
+        "fig/moved.json": ('{"version": "0.2", "p": 0.25}', '{"version": "0.1", "p": 0.5}'),
+        "added.csv": ("# version=0.2\ntau,p\n30,0.1\n", None),
+        "gone/old.csv": (None, "# version=0.1\ntau,p\n40,0.2\n"),
+    }
+    for name, texts in files.items():
+        for root, text in zip((fresh, golden), texts):
+            if text is not None:
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / name).write_text(text)
+    assert sync(fresh, golden) == {"added.csv": "new", "fig/moved.json": "0.5",
+                                   "gone/old.csv": "deleted", "same.csv": "0"}
+    # the unchanged file keeps its old stamp; the others match fresh
+    assert (golden / "same.csv").read_text() == files["same.csv"][1]
+    for name in ("fig/moved.json", "added.csv"):
+        assert (golden / name).read_text() == files[name][0]
+    assert not (golden / "gone").exists()
+    # a missing golden directory is written whole
+    assert set(sync(fresh, tmp_path / "none").values()) == {"new"}
+    assert (tmp_path / "none" / "same.csv").read_text() == files["same.csv"][0]

@@ -490,8 +490,7 @@ def test_degenerate_gap_rejected():
     h0 = np.diag([0.0, 1.0])
     h1 = np.diag([1.0, 0.0])
     model = am.ReducedHamiltonian(
-        dim=2, h0=h0, h1=h1, schedule=lambda s: s,
-        schedule_deriv=lambda s: 1.0, tridiagonal=False, label="crossing")
+        h0=h0, h1=h1, schedule=lambda s: s, schedule_deriv=lambda s: 1.0, label="crossing")
     with pytest.raises(DegenerateGroundStateError):
         gap_trace(model, n_points=65)
 
@@ -504,12 +503,12 @@ def test_gap_at_matches_trace(barrier84, barrier84_trace):
 
 
 @pytest.mark.parametrize("spec", [
-    # a trace takes only the lowest pairs: tridiagonal models, at any dimension,
+    # a trace takes only the lowest pairs: every model, at any dimension,
     # from _lowest_tridiagonal
     dict(kind="barrier", n=24, mu=1.0, alpha=0.3, beta=0.5),
     dict(kind="barrier", n=40, mu=1.0, alpha=0.3, beta=0.5),
     dict(kind="cubic", n=30),
-    dict(kind="grover", big_n=64, big_m=1),  # dense model
+    dict(kind="grover", big_n=64, big_m=1),
     dict(kind="nobarrier", n=1, mu=1.0),
 ], ids=lambda d: f"{d['kind']}{d.get('n') or d.get('big_n')}")
 def test_trace_matches_per_point_reference(spec):
@@ -533,12 +532,22 @@ def test_trace_matches_per_point_reference(spec):
                                                   nan_ok=True), name
 
 
-def test_trace_signs_do_not_depend_on_eigensolver():
-    # the same matrices, marked dense, go through batched eigh instead of
-    # the tridiagonal kernel
+def _lowest_by_dense_eigh(diag, off, m, vectors=True):
+    # a stand-in for _lowest_tridiagonal: the same bands through numpy's eigh,
+    # whose eigenvector signs need not be the kernel's
+    i = np.arange(diag.shape[1])
+    h = np.zeros(diag.shape + i.shape)
+    h[:, i, i] = diag
+    h[:, i[:-1], i[1:]] = h[:, i[1:], i[:-1]] = off
+    w, v = np.linalg.eigh(h)
+    return w[:, :m], (v[..., :m] if vectors else None)
+
+
+def test_trace_signs_do_not_depend_on_eigensolver(monkeypatch):
     model = build_model(ModelSpec(kind="barrier", n=16, mu=1.0, alpha=0.3, beta=0.5))
     banded = gap_trace(model)
-    dense = gap_trace(dataclasses.replace(model, tridiagonal=False))
+    monkeypatch.setattr(spectrum, "_lowest_tridiagonal", _lowest_by_dense_eigh)
+    dense = gap_trace(model)
     assert np.array_equal(dense.s, banded.s)
     for name in ("lambda0", "lambda1", "delta", "gamma", "rho", "vec0", "vec1"):
         assert np.abs(getattr(dense, name) - getattr(banded, name)).max() <= 1e-12, name
@@ -574,9 +583,8 @@ def _split_end_model():
     # lowest values in block order, [1, 0]
     off = np.array([0.5, 0.4, 0.3])
     return ReducedHamiltonian(
-        dim=4, h0=np.diag(off, 1) + np.diag(off, -1), h1=np.diag([3.0, 1.0, 2.0, 0.0]),
-        schedule=lambda s: s, schedule_deriv=lambda s: np.ones_like(s),
-        tridiagonal=True, label="split")
+        h0=np.diag(off, 1) + np.diag(off, -1), h1=np.diag([3.0, 1.0, 2.0, 0.0]),
+        schedule=lambda s: s, schedule_deriv=lambda s: np.ones_like(s), label="split")
 
 
 def _assert_lowest_pairs_match_dense(model, g, w, v):
@@ -599,16 +607,16 @@ def test_lowest_pairs_ascending_on_split_matrix():
     _assert_lowest_pairs_match_dense(model, [1.0], w, v)
     assert ground_state(model, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
     # values alone come in the same ascending order, on the split and on the
-    # unsplit matrix, from the tridiagonal kernel and from batched eigh
-    for m in (model, dataclasses.replace(model, tridiagonal=False)):
-        _assert_values_only_bitwise(m, [0.3, 1.0], spectrum._eigs(m, [0.3, 1.0], 2)[0])
+    # unsplit matrix
+    _assert_values_only_bitwise(model, [0.3, 1.0], spectrum._eigs(model, [0.3, 1.0], 2)[0])
 
 
 @pytest.mark.parametrize("spec", [
     dict(kind="barrier", n=40, mu=1.0, alpha=0.3, beta=0.5),
     dict(kind="cubic", n=30),
     dict(kind="nobarrier", n=24, mu=1.0),
-], ids=lambda d: f"{d['kind']}{d['n']}")
+    dict(kind="grover", big_n=64, big_m=1),
+], ids=lambda d: f"{d['kind']}{d.get('n') or d.get('big_n')}")
 def test_lowest_pairs_match_dense_eigh(spec):
     model = build_model(ModelSpec(**spec))
     s = np.concatenate([[0.0, 1.0], np.random.default_rng(5).uniform(0, 1, 8)])
@@ -616,6 +624,16 @@ def test_lowest_pairs_match_dense_eigh(spec):
     w, v = spectrum._eigs(model, g, 2)
     _assert_lowest_pairs_match_dense(model, g, w, v)
     _assert_values_only_bitwise(model, g, w)
+
+
+def test_search_trace_from_tridiagonal_kernel(monkeypatch, grover64):
+    # the 2x2 search model is tridiagonal too: its trace takes one bisection
+    # per point, like every qubit model's
+    calls = []
+    real = spectrum._STEBZ
+    monkeypatch.setattr(spectrum, "_STEBZ", lambda *a: calls.append(1) or real(*a))
+    tr = gap_trace(grover64)
+    assert len(calls) == len(tr.s)
 
 
 def test_lowest_pairs_residual_checked(monkeypatch, barrier84):
