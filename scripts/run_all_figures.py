@@ -4,17 +4,18 @@
 Usage:
     python scripts/run_all_figures.py --out results --threads 4
 
-Figures 4, 6, 7 and 9 run large direct sweeps (20 s to a minute each on 2
-cores with --threads 2); everything else finishes in seconds.
+Figures 4, 6, 7 and 9 run large direct sweeps: one run each at --threads 1
+(Python 3.11, 2 vCPUs, one BLAS thread) took fig4 20.1 s, fig6 20.0 s,
+fig7 42.7 s and fig9 10.2 s; every other figure finishes in under a second.
+--threads spreads a recipe's sub-configs over worker processes, so it can
+shorten only fig3, fig4 and fig10, the recipes with more than one.
 """
 
 import argparse
 import sys
 import time
 
-from annealosc.cli import main as cli_main
-
-FIGURES = ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"]
+from annealosc.cli import FIGURES, main as cli_main
 
 
 def main() -> int:

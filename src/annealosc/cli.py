@@ -25,9 +25,8 @@ from . import __version__
 from .evolve import ConvergenceError, EvolutionConfig, SweepResult, tau_sweep
 from .fit import _check_sweep, fit_A, fit_A_v
 from .models import ModelSpec, _check_int, _check_not_bool, build_model
-from .predict import (LargeGapParams, grover_gamma, grover_omega,
-                      grover_period, predict_grover, predict_large_gap,
-                      predict_split, split_params_from_crossing)
+from .predict import (LargeGapParams, grover_gamma, grover_omega, predict_grover,
+                      predict_large_gap, predict_split, split_params_from_crossing)
 from .spectrum import (DegenerateGroundStateError, gap_trace, locate_crossing,
                        rho_endpoints)
 
@@ -62,19 +61,16 @@ class ExperimentConfig:
     tau_grid: TauGrid | None = None
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     outputs: str = "out"
-    figure: str | None = None
     prediction: dict = field(default_factory=dict)  # A, v, m overrides
     fit_vary_v: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.model is None and self.mode != "reproduce-figure":
+        if self.model is None:
             raise ValueError(f"{self.mode} mode requires a model")
-        if self.tau_grid is None and self.mode in ("sweep", "predict", "fit"):
+        if self.tau_grid is None and self.mode != "gap":
             raise ValueError(f"{self.mode} mode requires a tau_grid")
-        if self.mode == "grover" and self.model.kind != "grover":
-            raise ValueError("grover mode requires a grover model")
         extra = set(self.prediction) - {"A", "v", "m"}
         if extra:
             raise ValueError(f"unknown prediction fields: {sorted(extra)}")
@@ -246,29 +242,16 @@ def run_fit(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
               [sweep.taus, predict_split(p, sweep.taus)], cfg)
 
 
-def run_grover(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
-    spec = cfg.model
-    payload = {
-        "N": spec.big_n, "M": spec.big_m,
-        "omega": grover_omega(spec.big_n, spec.big_m),
-        "period": grover_period(spec.big_n, spec.big_m),
-        "rho": grover_gamma(spec.big_n, spec.big_m, 0.0),
-    }
-    write_json(out / f"grover{tag}.json", payload, cfg)
-    if cfg.tau_grid is not None:
-        taus = cfg.tau_grid.values()
-        write_csv(out / f"grover_prediction{tag}.csv", ["tau", "p_predicted"],
-                  [taus, predict_grover(spec.big_n, spec.big_m, taus)], cfg)
-
-
-# each single-config mode's runner, called as runner(cfg, out, tag)
-_RUNNERS = {"gap": run_gap, "sweep": run_sweep, "predict": run_predict,
-            "fit": run_fit, "grover": run_grover}
-MODES = (*_RUNNERS, "reproduce-figure")
+# each mode's runner, called as runner(cfg, out, tag)
+_RUNNERS = {"gap": run_gap, "sweep": run_sweep, "predict": run_predict, "fit": run_fit}
+MODES = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
 # Figure recipes: named experiment presets with their parameters baked in.
+
+FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
+
 
 def _recipe(mode, model, tau=None, evolution=None, **kw):
     return ExperimentConfig(
@@ -324,16 +307,14 @@ def _figure_configs(name: str) -> list[tuple[str, ExperimentConfig]]:
     if name == "fig10":
         tau = {"min": 150.0, "max": 500.0, "count": 241}
         return [("_data", _recipe("sweep", grover64, tau)),
-                ("_theory", _recipe("grover", grover64, tau))]
-    raise ValueError(f"unknown figure {name!r} (expected fig3..fig10)")
+                ("_theory", _recipe("predict", grover64, tau))]
+    raise ValueError(f"unknown figure {name!r} (expected one of {', '.join(FIGURES)})")
 
 
-def run_reproduce_figure(cfg: ExperimentConfig, out: Path, threads: int = 1) -> None:
-    """Run the recipe's sub-configs, whole ones on `threads` spawned workers."""
-    if not cfg.figure:
-        raise ValueError("reproduce-figure mode requires a figure name")
-    jobs = [(_RUNNERS[sub.mode], sub, out, f"_{cfg.figure}{tag}")
-            for tag, sub in _figure_configs(cfg.figure)]
+def run_reproduce_figure(name: str, out: Path, threads: int = 1) -> None:
+    """Run recipe name's sub-configs, whole ones on `threads` spawned workers."""
+    jobs = [(_RUNNERS[sub.mode], sub, out, f"_{name}{tag}")
+            for tag, sub in _figure_configs(name)]
     if threads == 1 or len(jobs) == 1:
         for run, *args in jobs:
             run(*args)
@@ -357,12 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Near-adiabatic annealing sweeps, gap analysis, and "
                     "oscillation predictions")
     ap.add_argument("--config", type=Path, help="JSON experiment config")
-    ap.add_argument("--mode", choices=MODES, help="override config mode")
+    # no argparse choices: an unknown mode is a validation error (exit 1)
+    ap.add_argument("--mode", help=f"override config mode ({', '.join(MODES)})")
     ap.add_argument("--out", type=Path, help="output directory")
     ap.add_argument("--threads", default="1",
                     help="worker processes that run a figure recipe's sub-configs "
                          "in parallel (default 1)")
-    ap.add_argument("--figure", help="figure name for reproduce-figure mode")
+    ap.add_argument("--figure", help=f"run a figure recipe ({', '.join(FIGURES)}); "
+                                     "takes no --config or --mode")
     return ap
 
 
@@ -381,27 +364,29 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         threads = _thread_count(args.threads)
-        raw = {}
-        if args.config is not None:
-            raw = _json_object("config", json.loads(args.config.read_text()))
-        if args.mode:
-            raw["mode"] = args.mode
-        if args.figure:
-            raw["figure"] = args.figure
-            raw.setdefault("mode", "reproduce-figure")
-        if args.out is not None:
-            raw["outputs"] = str(args.out)
-        if "mode" not in raw:
-            raise ValueError("no mode given (use --mode or a config file)")
-        cfg = ExperimentConfig.from_dict(raw)
-        out = Path(cfg.outputs)
+        if args.figure is not None:
+            if args.config is not None or args.mode is not None:
+                raise ValueError("--figure cannot be combined with --config or --mode")
+            cfg, out = None, args.out or Path("out")
+        else:
+            raw = {}
+            if args.config is not None:
+                raw = _json_object("config", json.loads(args.config.read_text()))
+            if args.mode is not None:
+                raw["mode"] = args.mode
+            if args.out is not None:
+                raw["outputs"] = str(args.out)
+            if "mode" not in raw:
+                raise ValueError("no mode given (use --mode, --figure or a config file)")
+            cfg = ExperimentConfig.from_dict(raw)
+            out = Path(cfg.outputs)
         out.mkdir(parents=True, exist_ok=True)
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if cfg.mode == "reproduce-figure":
-            run_reproduce_figure(cfg, out, threads)
+        if cfg is None:
+            run_reproduce_figure(args.figure, out, threads)
         else:
             _RUNNERS[cfg.mode](cfg, out)
     # LinAlgError subclasses ValueError, so it is caught first

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands  # noqa: F401
 from .models import _check_int, _check_not_bool
-from .spectrum import _eigs, _two_lowest
+from .spectrum import DegenerateGroundStateError, _eigs, _two_lowest
 
 
 class ConvergenceError(RuntimeError):
@@ -98,7 +98,7 @@ def ground_state(model: ReducedHamiltonian, s: float) -> np.ndarray:
     magnitude entry is positive."""
     vals, vecs = _two_lowest(model, s)
     if vals[1] - vals[0] <= 1e-12 * max(abs(vals[1]), 1.0):
-        raise RuntimeError(f"ground state degenerate at s={s}")
+        raise DegenerateGroundStateError(f"ground state degenerate at s={s}")
     v = vecs[:, 0]
     if v[np.argmax(np.abs(v))] < 0:
         v = -v

@@ -216,12 +216,6 @@ def grover_omega(big_n: int, big_m: int) -> float:
         math.sqrt((big_n - big_m) / big_m))
 
 
-def grover_period(big_n: int, big_m: int) -> float:
-    """Oscillation period T = 2 pi / omega in tau: predict_grover's
-    sin^2(omega tau / 2) repeats with it."""
-    return 2.0 * math.pi / grover_omega(big_n, big_m)
-
-
 def grover_gap(big_n: int, big_m: int, s):
     """Gap sqrt(1 - 4 (1-g) g (N-M)/N) under the optimal schedule."""
     _check_search(big_n, big_m)

@@ -164,15 +164,16 @@ class GapTrace:
     |overlap| is below 1/sqrt(2) (over 45 degrees of turn in one cell): the
     grid is too coarse to trust the signs, and `coupling_spline` refuses the
     trace.  The vectors are kept (dim x npoints per level) for cross checks
-    and endpoint gauges.
+    and endpoint gauges.  delta and rho are computed from the other fields,
+    so a `dataclasses.replace` of lambda0, lambda1 or gamma keeps them in step.
     """
 
     s: np.ndarray
     lambda0: np.ndarray
     lambda1: np.ndarray
-    delta: np.ndarray
+    delta: np.ndarray = field(init=False)
     gamma: np.ndarray
-    rho: np.ndarray
+    rho: np.ndarray = field(init=False)
     vec0: np.ndarray = field(repr=False)
     vec1: np.ndarray = field(repr=False)
     model: ReducedHamiltonian = field(repr=False)
@@ -181,8 +182,11 @@ class GapTrace:
     def __post_init__(self):
         if self.s[0] != 0.0 or self.s[-1] != 1.0 or np.any(np.diff(self.s) <= 0):
             raise ValueError("s grid must strictly increase from 0 to 1")
-        if np.any(self.delta <= 0):
+        delta = self.lambda1 - self.lambda0
+        if np.any(delta <= 0):
             raise DegenerateGroundStateError("nonpositive gap in trace")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "rho", self.gamma / delta**2)
         for a in (self.s, self.lambda0, self.lambda1, self.delta, self.gamma,
                   self.rho, self.vec0, self.vec1):
             a.setflags(write=False)
@@ -268,10 +272,8 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
         vecs[..., 1] *= -1.0
         gamma = -gamma
 
-    delta = lam[:, 1] - lam[:, 0]
-    return GapTrace(s=grid, lambda0=lam[:, 0], lambda1=lam[:, 1], delta=delta,
-                    gamma=gamma, rho=gamma / delta**2, vec0=vecs[..., 0].T,
-                    vec1=vecs[..., 1].T, model=model,
+    return GapTrace(s=grid, lambda0=lam[:, 0], lambda1=lam[:, 1], gamma=gamma,
+                    vec0=vecs[..., 0].T, vec1=vecs[..., 1].T, model=model,
                     gauge_continuous=bool(np.abs(overlap).min() >= math.sqrt(0.5)))
 
 

@@ -297,11 +297,9 @@ def gap_trace_reference(spec, n_points=201, n_refine=160):
     if gamma[0] < 0:
         vecs[1] = -vecs[1]
         gamma = -gamma
-    delta = lam[1] - lam[0]
     overlap = np.sum(vecs[:, :, :-1] * vecs[:, :, 1:], axis=1)
-    return GapTrace(s=grid, lambda0=lam[0], lambda1=lam[1], delta=delta,
-                    gamma=gamma, rho=gamma / delta**2, vec0=vecs[0], vec1=vecs[1],
-                    model=None,
+    return GapTrace(s=grid, lambda0=lam[0], lambda1=lam[1], gamma=gamma,
+                    vec0=vecs[0], vec1=vecs[1], model=None,
                     gauge_continuous=bool(np.abs(overlap).min() >= math.sqrt(0.5)))
 
 

@@ -11,8 +11,9 @@ import pytest
 
 import annealosc
 from annealosc import cli, evolve, spectrum
-from annealosc.cli import (ExperimentConfig, TauGrid, _figure_configs, _recipe,
-                           config_hash, main)
+from annealosc.cli import (FIGURES, MODES, ExperimentConfig, TauGrid, _figure_configs,
+                           _recipe, config_hash, main)
+from annealosc.predict import predict_grover
 
 NOBARRIER = {"kind": "nobarrier", "n": 1, "mu": 1.0}
 
@@ -78,7 +79,7 @@ _BARRIER16 = {"kind": "barrier", "n": 16, "mu": 1.0, "alpha": 0.3, "beta": 0.5}
 
 @pytest.mark.parametrize("field, payload", [
     ("tau count", {**_SWEEP, "tau_grid": {"min": 20.0, "max": 40.0, "count": True}}),
-    ("tau count", {"mode": "grover", "model": {"kind": "grover", "big_n": 64, "big_m": 1},
+    ("tau count", {"mode": "predict", "model": {"kind": "grover", "big_n": 64, "big_m": 1},
                    "tau_grid": {"min": 20.0, "max": 40.0, "count": 3.5}}),
     ("s_points", {"mode": "gap", "model": NOBARRIER, "s_points": 100.5}),
     ("fit_vary_v", {"mode": "fit", "model": _BARRIER16, "fit_vary_v": "no",
@@ -191,7 +192,19 @@ def test_main_requires_mode(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["gap", "sweep", "predict", "fit", "grover"])
+def test_modes_are_the_four_runners():
+    assert MODES == ("gap", "sweep", "predict", "fit")
+
+
+def test_unknown_mode_flag_exit_1(tmp_path, capsys):
+    # a validation error, as for an unknown mode in a config file; exit 2
+    # means a numerical failure
+    assert main(["--mode", "bogus", "--out", str(tmp_path / "out")]) == 1
+    assert "error: unknown mode 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_missing_model_rejected(tmp_path, capsys, mode):
     assert main(["--mode", mode, "--out", str(tmp_path)]) == 1
     assert "requires a model" in capsys.readouterr().err
@@ -248,8 +261,14 @@ def test_sweep_mode_requires_tau_grid(tmp_path):
                                         "tau_grid": None}),
     ("predict mode requires a tau_grid", {"mode": "predict", "model": NOBARRIER}),
     ("fit mode requires a tau_grid", {"mode": "fit", "model": _BARRIER16}),
-    ("grover mode requires a grover model", {"mode": "grover", "model": _BARRIER16}),
-], ids=["sweep", "sweep-null", "predict", "fit", "grover-barrier"])
+    # the modes and the field that version 0.12.0 removed
+    ("unknown mode 'grover'", {"mode": "grover", "model": {"kind": "grover", "big_n": 64,
+                                                           "big_m": 1}}),
+    ("unknown mode 'reproduce-figure'", {"mode": "reproduce-figure"}),
+    ("unknown config fields: ['figure']", {"mode": "gap", "model": NOBARRIER,
+                                           "figure": "fig5"}),
+], ids=["sweep", "sweep-null", "predict", "fit", "grover-mode", "reproduce-figure-mode",
+        "figure-field"])
 def test_mode_requirements_exit_1_before_output(tmp_path, capsys, message, payload):
     # the config is checked before any analysis or sweep runs
     cfg = _write_config(tmp_path, payload)
@@ -331,17 +350,21 @@ def test_fit_mode_checks_tau_grid_before_sweeping(tmp_path, capsys, monkeypatch,
     assert error in capsys.readouterr().err
 
 
-def test_grover_mode(tmp_path):
-    payload = {"mode": "grover",
+def test_predict_mode_grover(tmp_path):
+    # the search model's omega and rho are closed forms: no gap analysis runs
+    payload = {"mode": "predict",
                "model": {"kind": "grover", "big_n": 64, "big_m": 1},
                "tau_grid": {"min": 100.0, "max": 200.0, "count": 5}}
     cfg = _write_config(tmp_path, payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
-    info = json.loads((tmp_path / "grover.json").read_text())
-    assert info["omega"] == pytest.approx(0.2394257806110935, abs=1e-12)
-    assert info["period"] == pytest.approx(2.0 * math.pi / info["omega"], rel=1e-12)
-    assert info["rho"] == pytest.approx(math.atan(math.sqrt(63)), abs=1e-12)
-    assert (tmp_path / "grover_prediction.csv").exists()
+    params = json.loads((tmp_path / "prediction_params.json").read_text())
+    assert params["model"] == "grover"
+    assert params["omega"] == pytest.approx(0.2394257806110935, abs=1e-12)
+    assert params["rho"] == pytest.approx(math.atan(math.sqrt(63)), abs=1e-12)
+    rows = (tmp_path / "prediction.csv").read_text().splitlines()[3:]
+    taus, probs = np.array([[float(x) for x in r.split(",")] for r in rows]).T
+    assert taus.tolist() == [100.0, 125.0, 150.0, 175.0, 200.0]
+    assert probs.tolist() == predict_grover(64, 1, taus).tolist()
 
 
 # -------------------------------------------------------- recipe workers
@@ -377,15 +400,17 @@ def test_reproduce_figure_thread_invariance(tmp_path, monkeypatch):
 
 # --------------------------------------------------------- figure recipes
 
-@pytest.mark.parametrize("name,count", [
-    ("fig3", 6), ("fig4", 6), ("fig5", 1), ("fig6", 1), ("fig7", 1),
-    ("fig8", 1), ("fig9", 1), ("fig10", 2),
-])
+_RECIPE_SIZES = [("fig3", 6), ("fig4", 6), ("fig5", 1), ("fig6", 1), ("fig7", 1),
+                 ("fig8", 1), ("fig9", 1), ("fig10", 2)]
+
+
+@pytest.mark.parametrize("name,count", _RECIPE_SIZES)
 def test_figure_recipes_well_formed(name, count):
+    assert tuple(fig for fig, _ in _RECIPE_SIZES) == FIGURES
     configs = _figure_configs(name)
     assert len(configs) == count
     for _tag, sub in configs:
-        assert sub.mode in ("gap", "sweep", "predict", "fit", "grover")
+        assert sub.mode in ("gap", "sweep", "predict", "fit")
         if sub.mode in ("sweep", "fit", "predict"):
             assert sub.tau_grid is not None
 
@@ -401,6 +426,17 @@ def test_reproduce_figure_gap_smoke(tmp_path):
     crossing = json.loads((tmp_path / "crossing_fig5.json").read_text())
     assert crossing["kind"] == "avoided"
     assert 0.0 < crossing["s_star"] < 1.0
+
+
+@pytest.mark.parametrize("extra", [["--config", "cfg.json"], ["--mode", "gap"]],
+                         ids=["config", "mode"])
+def test_figure_takes_no_config_or_mode(tmp_path, monkeypatch, capsys, extra):
+    # the recipe was silently dropped for the config's run, or the mode's
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, {"mode": "gap", "model": NOBARRIER})
+    assert main(["--figure", "fig5", *extra, "--out", str(tmp_path / "out")]) == 1
+    assert "--figure cannot be combined" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------- benchmark tracer

@@ -10,7 +10,8 @@ from annealosc import evolve, spectrum
 from annealosc.cli import main
 from annealosc.evolve import ConvergenceError, SweepResult, _propagate
 from annealosc.predict import amplitude_integral
-from annealosc.spectrum import gap_trace
+from annealosc.models import ReducedHamiltonian
+from annealosc.spectrum import DegenerateGroundStateError, gap_trace
 
 import reference
 from oracles import (cf4_reference, evolve_schrodinger, evolve_two_level,
@@ -29,6 +30,19 @@ def test_ground_state_grover_initial(grover64):
 def test_ground_state_nobarrier_final(nobarrier1):
     psi = ground_state(nobarrier1, 1.0)
     assert np.allclose(np.abs(psi), [1.0, 0.0], atol=1e-14)
+
+
+def test_degenerate_final_ground_state_raises_the_trace_error():
+    # H(1) = diag(0, 0, 1): the sweep fails as the gap trace does, with the
+    # error the CLI reports as a numerical failure
+    off = np.array([1.0, 1.0])
+    model = ReducedHamiltonian(h0=np.diag(off, 1) + np.diag(off, -1),
+                               h1=np.diag([0.0, 0.0, 1.0]), schedule=lambda s: s,
+                               schedule_deriv=lambda s: 1.0, label="degenerate end")
+    with pytest.raises(DegenerateGroundStateError):
+        gap_trace(model)
+    with pytest.raises(DegenerateGroundStateError, match="degenerate at s=1.0"):
+        tau_sweep(model, [20.0])
 
 
 def test_unitarity(nobarrier1, grover64):
@@ -387,8 +401,7 @@ def test_two_level_matches_full_evolution(nobarrier1, nobarrier1_trace):
 def test_two_level_decoupled_stays_put(nobarrier1_trace):
     import dataclasses
     tr = dataclasses.replace(nobarrier1_trace,
-                             gamma=np.zeros_like(nobarrier1_trace.gamma),
-                             rho=np.zeros_like(nobarrier1_trace.rho))
+                             gamma=np.zeros_like(nobarrier1_trace.gamma))
     amp = evolve_two_level(tr, 30.0)
     assert abs(amp.c1) < 1e-12
     assert abs(amp.c0) == pytest.approx(1.0, abs=1e-12)

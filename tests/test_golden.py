@@ -1,5 +1,5 @@
 """Golden outputs: the figure recipes fig3, fig5, fig8 and fig10, the small
-CONFIGS of every single-config mode, the crossings of the six ORACLE_MODELS
+CONFIGS of every mode, the crossings of the six ORACLE_MODELS
 and those of every model the benchmark's analysis-scan workload can draw,
 rerun and compared with tests/golden/.
 
@@ -38,14 +38,14 @@ CONFIGS = {
                         "tau_grid": {"min": 20.0, "max": 100.0, "count": 31}},
     "predict_grover": {"mode": "predict", "model": {"kind": "grover", "big_n": 64, "big_m": 1},
                        "tau_grid": _ONE_TAU},
+    "predict_grover12": {"mode": "predict", "model": {"kind": "grover", "big_n": 12, "big_m": 3},
+                         "tau_grid": {"min": 10.0, "max": 50.0, "count": 5}},
     "predict_nobarrier": {"mode": "predict", "model": {"kind": "nobarrier", "n": 1, "mu": 1.0},
                           "tau_grid": _ONE_TAU},
     "predict_cubic": {"mode": "predict", "model": {"kind": "cubic", "n": 30},
                       "prediction": {"A": 0.1}, "tau_grid": _ONE_TAU},
     "gap": {"mode": "gap", "model": {"kind": "barrier", "n": 16, "mu": 1.3, "alpha": 0.3,
                                      "beta": 0.5}},
-    "grover": {"mode": "grover", "model": {"kind": "grover", "big_n": 12, "big_m": 3},
-               "tau_grid": {"min": 10.0, "max": 50.0, "count": 5}},
 }
 RTOL = 1e-12
 # the stamps every output carries, which change with the version

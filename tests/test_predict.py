@@ -11,7 +11,7 @@ from annealosc import (LargeGapParams, ModelSpec, SplitParams, build_model,
                        gap_trace, predict_grover, predict_large_gap,
                        predict_split)
 from annealosc.predict import (amplitude_integral, grover_gamma, grover_gap,
-                               grover_omega, grover_period,
+                               grover_omega,
                                landau_zener_amplitude,
                                split_params_from_crossing)
 from annealosc.spectrum import CrossingParams
@@ -28,8 +28,7 @@ GROVER_OMEGA_64_1 = 0.2394257806110935  # frozen from the closed form
 def test_amplitude_integral_zero_coupling(nobarrier1_trace):
     import dataclasses
     tr = dataclasses.replace(nobarrier1_trace,
-                             gamma=np.zeros_like(nobarrier1_trace.gamma),
-                             rho=np.zeros_like(nobarrier1_trace.rho))
+                             gamma=np.zeros_like(nobarrier1_trace.gamma))
     assert amplitude_integral(tr, 40.0) == 0.0
 
 
@@ -252,7 +251,8 @@ def test_grover_period_spaces_prediction_minima():
     p = predict_grover(64, 1, taus)
     minima = taus[1:-1][(p[1:-1] < p[:-2]) & (p[1:-1] <= p[2:])]
     assert len(minima) >= 10
-    assert np.diff(minima) == pytest.approx(grover_period(64, 1), rel=1e-3)
+    # sin^2(omega tau / 2) repeats with period 2 pi / omega in tau
+    assert np.diff(minima) == pytest.approx(2.0 * math.pi / grover_omega(64, 1), rel=1e-3)
 
 
 def test_grover_gap_closed_form(grover64):
