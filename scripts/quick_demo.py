@@ -18,7 +18,7 @@ from annealosc.spectrum import rho_endpoints
 
 def main() -> int:
     model = build_model(ModelSpec(kind="nobarrier", n=1, mu=1.0))
-    trace = gap_trace(model, n_points=201)
+    trace = gap_trace(model)
     crossing = locate_crossing(trace)
     print(f"gap minimum g = {crossing.g:.6f} at s* = {crossing.s_star:.4f} "
           f"({crossing.kind}), oscillation frequency omega = {crossing.omega:.6f}")

@@ -57,7 +57,6 @@ class TauGrid:
 class ExperimentConfig:
     mode: str
     model: ModelSpec | None = None
-    s_points: int = 201
     tau_grid: TauGrid | None = None
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     outputs: str = "out"
@@ -71,16 +70,17 @@ class ExperimentConfig:
             raise ValueError(f"{self.mode} mode requires a model")
         if self.tau_grid is None and self.mode != "gap":
             raise ValueError(f"{self.mode} mode requires a tau_grid")
-        extra = set(self.prediction) - {"A", "v", "m"}
-        if extra:
-            raise ValueError(f"unknown prediction fields: {sorted(extra)}")
         # predict and fit modes read m as given: a float is not truncated
         m = self.prediction.get("m", 1)
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ValueError(f"prediction.m must be an integer >= 1, got {m!r}")
         for name in ("A", "v"):
             _check_not_bool(f"prediction.{name}", self.prediction.get(name))
-        _check_int("s_points", self.s_points)
+        # the fields each run reads: predict's A and v only at an avoided crossing (run_predict)
+        read = {"fit": {"m"}, "predict": set() if self.model.kind == "grover" else {"A", "v", "m"}}
+        if unread := set(self.prediction) - read.get(self.mode, set()):
+            raise ValueError(f"{self.mode} mode on a {self.model.kind} model reads no "
+                             f"prediction fields {sorted(unread)}")
         if not isinstance(self.fit_vary_v, bool):
             raise ValueError(f"fit_vary_v must be true or false, got {self.fit_vary_v!r}")
 
@@ -156,7 +156,7 @@ def _analyse(cfg: ExperimentConfig):
     models take the diagonalized trace's rhos and m = 1.  prediction.m
     overrides m."""
     spec = cfg.model
-    trace = gap_trace(build_model(spec), n_points=cfg.s_points)
+    trace = gap_trace(build_model(spec))
     crossing = locate_crossing(trace)
     if spec.kind == "barrier":
         rho0, rho1, m = spec.mu / 2.0, 1.0 / (2.0 * spec.mu), spec.n
@@ -212,6 +212,9 @@ def run_predict(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
                       "omega_minus": p.omega_minus, "omega_plus": p.omega_plus,
                       "rho0": p.rho0, "rho1": p.rho1, "m": m}
         else:
+            if unread := {"A", "v"} & set(cfg.prediction):
+                raise ValueError(f"gap analysis says {crossing.kind!r}: predict mode reads "
+                                 f"no prediction fields {sorted(unread)}")
             lg = LargeGapParams(rho0=rho0, rho1=rho1, omega=crossing.omega, m=m)
             probs = predict_large_gap(lg, taus)
             params = {"model": "large-gap", "omega": lg.omega,
@@ -367,6 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.figure is not None:
             if args.config is not None or args.mode is not None:
                 raise ValueError("--figure cannot be combined with --config or --mode")
+            _figure_configs(args.figure)  # an unknown name raises before any output
             cfg, out = None, args.out or Path("out")
         else:
             raw = {}

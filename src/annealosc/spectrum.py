@@ -153,6 +153,14 @@ def gap_at(model: ReducedHamiltonian, s: float) -> float:
     return float(vals[1] - vals[0])
 
 
+def _turning_cells(vec0: np.ndarray, vec1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overlaps (k - 1, 2) of two levels' eigenvectors (d, k) at successive points, and the
+    cells where one turns by over 45 degrees (|overlap| < 1/sqrt(2)): its sign there, and
+    gamma's, may be wrong."""
+    overlap = np.stack([np.einsum("ik,ik->k", v[:, :-1], v[:, 1:]) for v in (vec0, vec1)], 1)
+    return overlap, (np.abs(overlap) < math.sqrt(0.5)).any(axis=1)
+
+
 @dataclass(frozen=True)
 class GapTrace:
     """Spectral data sampled on an increasing s grid covering [0, 1].
@@ -160,12 +168,12 @@ class GapTrace:
     Eigenvector signs are fixed so successive overlaps are positive, which
     makes gamma(s) continuous on the grid, and at s = 0 so that the ground
     state's largest-magnitude entry (as in `ground_state`) and gamma are not
-    negative, whatever the eigensolver.  gauge_continuous is False when an
-    |overlap| is below 1/sqrt(2) (over 45 degrees of turn in one cell): the
-    grid is too coarse to trust the signs, and `coupling_spline` refuses the
-    trace.  The vectors are kept (dim x npoints per level) for cross checks
-    and endpoint gauges.  delta and rho are computed from the other fields,
-    so a `dataclasses.replace` of lambda0, lambda1 or gamma keeps them in step.
+    negative, whatever the eigensolver.  A cell where an eigenvector turns by
+    over 45 degrees leaves gamma's sign to chance: such a trace raises
+    ValueError (`gap_trace` bisects those cells).  The vectors are kept (dim x
+    npoints per level) for cross checks and endpoint gauges.  delta and rho
+    are computed from the other fields, so a `dataclasses.replace` of
+    lambda0, lambda1 or gamma keeps them in step.
     """
 
     s: np.ndarray
@@ -177,7 +185,6 @@ class GapTrace:
     vec0: np.ndarray = field(repr=False)
     vec1: np.ndarray = field(repr=False)
     model: ReducedHamiltonian = field(repr=False)
-    gauge_continuous: bool
 
     def __post_init__(self):
         if self.s[0] != 0.0 or self.s[-1] != 1.0 or np.any(np.diff(self.s) <= 0):
@@ -185,6 +192,8 @@ class GapTrace:
         delta = self.lambda1 - self.lambda0
         if np.any(delta <= 0):
             raise DegenerateGroundStateError("nonpositive gap in trace")
+        if _turning_cells(self.vec0, self.vec1)[1].any():
+            raise ValueError("an eigenvector turns over 45 degrees in a trace cell")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "rho", self.gamma / delta**2)
         for a in (self.s, self.lambda0, self.lambda1, self.delta, self.gamma,
@@ -197,13 +206,7 @@ class GapTrace:
         return CubicSpline(self.s, self.delta)
 
     def coupling_spline(self):
-        """Cubic spline of gamma(s)/Delta(s); refused when the gauge is not
-        continuous, since gamma's sign may then flip between grid points."""
-        if not self.gauge_continuous:
-            raise ValueError(
-                "eigenvector gauge not continuous on this grid (an eigenvector "
-                "turns over 45 degrees in one cell): gamma's sign is not "
-                "trustworthy; trace with more n_points")
+        """Cubic spline of gamma(s)/Delta(s)."""
         # imported on first use, so that importing the package skips scipy.interpolate
         from scipy.interpolate import CubicSpline
         return CubicSpline(self.s, self.gamma / self.delta)
@@ -231,16 +234,19 @@ def _crossing_refine_grid(s_grid: np.ndarray, delta: np.ndarray, n_extra: int) -
 
 # points gap_trace adds around an interior gap minimum of its uniform grid
 _N_REFINE = 160
+# rounds of bisection before gap_trace gives up (a default cell then spans 5e-12)
+_MAX_BISECTIONS = 30
 
 
 def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
               n_points: int = 201) -> GapTrace:
     """Sample the two lowest levels along s with a sign-continuous gauge.
 
-    A given `grid` is used as given.  Otherwise the grid is n_points uniform
-    points, and when the gap has an interior minimum _N_REFINE more are
-    inserted around it.  The grid and the refinement points are each
-    decomposed in one batch.
+    The grid starts as `grid`, or as n_points uniform points and _N_REFINE
+    more around an interior gap minimum.  Each round then bisects every cell
+    where an eigenvector turns by over 45 degrees (`_turning_cells`), until
+    none is left; RuntimeError after _MAX_BISECTIONS rounds.  Each set of
+    points is decomposed in one batch.
     """
     refine = grid is None
     if refine:
@@ -256,13 +262,21 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
     if np.any(lam[:, 1] <= lam[:, 0]):
         raise DegenerateGroundStateError("nonpositive gap on coarse grid")
     extra = _crossing_refine_grid(grid, lam[:, 1] - lam[:, 0], _N_REFINE) if refine else grid[:0]
-    if extra.size:
-        lam_x, vecs_x = _eigs(model, model.schedule(extra), 2)
-        order = np.argsort(np.concatenate([grid, extra]))
-        grid, lam, vecs = (np.concatenate(pair)[order] for pair in
-                           ((grid, extra), (lam, lam_x), (vecs, vecs_x)))
+    for rounds in range(_MAX_BISECTIONS + 1):
+        if extra.size:
+            lam_x, vecs_x = _eigs(model, model.schedule(extra), 2)
+            order = np.argsort(np.concatenate([grid, extra]))
+            grid, lam, vecs = (np.concatenate(pair)[order] for pair in
+                               ((grid, extra), (lam, lam_x), (vecs, vecs_x)))
+        overlap, turning = _turning_cells(vecs[..., 0].T, vecs[..., 1].T)
+        if not turning.any():
+            break
+        lo, hi = grid[:-1][turning], grid[1:][turning]
+        extra = 0.5 * (lo + hi)
+        if rounds == _MAX_BISECTIONS or not np.all((lo < extra) & (extra < hi)):
+            raise RuntimeError(f"an eigenvector turns over 45 degrees in [{lo[0]:.17g}, "
+                               f"{hi[0]:.17g}] after {rounds} rounds of bisection")
 
-    overlap = np.einsum("kil,kil->kl", vecs[:-1], vecs[1:])
     vecs[1:] *= np.cumprod(np.where(overlap < 0, -1.0, 1.0), axis=0)[:, None, :]
     if vecs[0, np.argmax(np.abs(vecs[0, :, 0])), 0] < 0:
         vecs[..., 0] *= -1.0
@@ -273,8 +287,7 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
         gamma = -gamma
 
     return GapTrace(s=grid, lambda0=lam[:, 0], lambda1=lam[:, 1], gamma=gamma,
-                    vec0=vecs[..., 0].T, vec1=vecs[..., 1].T, model=model,
-                    gauge_continuous=bool(np.abs(overlap).min() >= math.sqrt(0.5)))
+                    vec0=vecs[..., 0].T, vec1=vecs[..., 1].T, model=model)
 
 
 @dataclass(frozen=True)

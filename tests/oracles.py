@@ -268,20 +268,32 @@ def _two_lowest_reference(spec, dense, s):
 def gap_trace_reference(spec, n_points=201, n_refine=160):
     """gap_trace one point at a time: each H(s) and dH/ds from spec's
     `dense_reference` model, its two lowest pairs from eigh_tridiagonal on
-    the bands of a qubit model or numpy's eigh, the gauge fixed point by
-    point against the previous point.  Signs are anchored as in gap_trace:
-    the ground state's largest-magnitude entry positive at s = 0, and
-    gamma(0) >= 0.  The trace's model is None."""
+    the bands of a qubit model or numpy's eigh.  Every cell where either
+    level's |overlap| with the next point is below 1/sqrt(2) is bisected,
+    one point at a time, until none is left.  The gauge is fixed point by
+    point against the previous point, and signs are anchored as in
+    gap_trace: the ground state's largest-magnitude entry positive at s = 0,
+    and gamma(0) >= 0.  The trace's model is None."""
     dense = dense_reference(spec)
     grid = np.linspace(0.0, 1.0, n_points)
     coarse = np.array([np.diff(_two_lowest_reference(spec, dense, s)[0])[0] for s in grid])
     extra = _crossing_refine_grid(grid, coarse, n_refine)
-    grid = np.unique(np.concatenate([grid, extra]))
+    pairs = {s: _two_lowest_reference(spec, dense, s) for s in np.concatenate([grid, extra])}
+    while True:
+        grid = sorted(pairs)
+        mids = [0.5 * (a + b) for a, b in zip(grid[:-1], grid[1:])
+                if min(abs(pairs[a][1][:, j] @ pairs[b][1][:, j]) for j in range(2))
+                < math.sqrt(0.5)]
+        if not mids:
+            break
+        for s in mids:
+            pairs[s] = _two_lowest_reference(spec, dense, s)
+    grid = np.array(grid)
     npts = len(grid)
     lam = np.empty((2, npts))
     vecs = np.empty((2, len(dense.h0), npts))
     for i, s in enumerate(grid):
-        vals, v = _two_lowest_reference(spec, dense, s)
+        vals, v = pairs[s]
         if vals[1] - vals[0] <= 0:
             raise DegenerateGroundStateError(f"degenerate levels at s={s}")
         for j in range(2):
@@ -297,10 +309,8 @@ def gap_trace_reference(spec, n_points=201, n_refine=160):
     if gamma[0] < 0:
         vecs[1] = -vecs[1]
         gamma = -gamma
-    overlap = np.sum(vecs[:, :, :-1] * vecs[:, :, 1:], axis=1)
     return GapTrace(s=grid, lambda0=lam[0], lambda1=lam[1], gamma=gamma,
-                    vec0=vecs[0], vec1=vecs[1], model=None,
-                    gauge_continuous=bool(np.abs(overlap).min() >= math.sqrt(0.5)))
+                    vec0=vecs[0], vec1=vecs[1], model=None)
 
 
 def central_difference(f, x, delta=1e-5):

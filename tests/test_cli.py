@@ -81,7 +81,6 @@ _BARRIER16 = {"kind": "barrier", "n": 16, "mu": 1.0, "alpha": 0.3, "beta": 0.5}
     ("tau count", {**_SWEEP, "tau_grid": {"min": 20.0, "max": 40.0, "count": True}}),
     ("tau count", {"mode": "predict", "model": {"kind": "grover", "big_n": 64, "big_m": 1},
                    "tau_grid": {"min": 20.0, "max": 40.0, "count": 3.5}}),
-    ("s_points", {"mode": "gap", "model": NOBARRIER, "s_points": 100.5}),
     ("fit_vary_v", {"mode": "fit", "model": _BARRIER16, "fit_vary_v": "no",
                     "tau_grid": {"min": 20.0, "max": 60.0, "count": 5}}),
     ("step_tolerance", {**_SWEEP, "evolution": {"step_tolerance": True}}),
@@ -99,7 +98,7 @@ _BARRIER16 = {"kind": "barrier", "n": 16, "mu": 1.0, "alpha": 0.3, "beta": 0.5}
     ("tau_grid", {**_SWEEP, "tau_grid": [20.0, 40.0, 3]}),
     ("evolution", {**_SWEEP, "evolution": 1e-5}),
     ("config", [1, 2]),
-], ids=["count-true", "count-float", "s_points-float", "fit_vary_v-string",
+], ids=["count-true", "count-float", "fit_vary_v-string",
         "step_tolerance-true", "mu-true", "tau-min-true", "A-true", "v-true",
         "prediction-list", "prediction-string", "model-string", "tau_grid-list",
         "evolution-number", "config-list"])
@@ -146,6 +145,27 @@ def test_prediction_m_must_be_a_json_integer(tmp_path, capsys, mode, m):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("message, payload", [
+    ("predict mode on a grover model reads no prediction fields ['A', 'm']",
+     {"mode": "predict", "model": {"kind": "grover", "big_n": 64, "big_m": 1},
+      "prediction": {"m": 3, "A": 0.5}}),
+    ("gap analysis says 'large-gap': predict mode reads no prediction fields ['A', 'v']",
+     {"mode": "predict", "model": NOBARRIER, "prediction": {"A": 0.5, "v": 3.0}}),
+    ("sweep mode on a nobarrier model reads no prediction fields ['A']",
+     {"mode": "sweep", "model": NOBARRIER, "prediction": {"A": 0.5}}),
+    ("fit mode on a barrier model reads no prediction fields ['A']",
+     {"mode": "fit", "model": _BARRIER16, "prediction": {"A": 0.5}}),
+], ids=["grover", "nobarrier", "sweep", "fit"])
+def test_unread_prediction_fields_exit_1_before_output(tmp_path, capsys, message, payload):
+    # a field the run would not read was hashed into the outputs and ignored
+    cfg = _write_config(tmp_path, {**payload, "tau_grid": {"min": 20.0, "max": 60.0,
+                                                            "count": 5}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+
+
 def test_config_from_dict_rejects_unknown_fields():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"mode": "gap", "model": NOBARRIER,
@@ -179,7 +199,7 @@ def test_config_hash_sensitivity():
     a = ExperimentConfig.from_dict({"mode": "gap", "model": NOBARRIER})
     b = ExperimentConfig.from_dict({"mode": "gap", "model": NOBARRIER})
     c = ExperimentConfig.from_dict({"mode": "gap", "model": NOBARRIER,
-                                    "s_points": 301})
+                                    "evolution": {"step_tolerance": 1e-6}})
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
     assert "version" in a.snapshot()
@@ -267,8 +287,11 @@ def test_sweep_mode_requires_tau_grid(tmp_path):
     ("unknown mode 'reproduce-figure'", {"mode": "reproduce-figure"}),
     ("unknown config fields: ['figure']", {"mode": "gap", "model": NOBARRIER,
                                            "figure": "fig5"}),
+    # the field that version 0.13.0 removed: gap_trace refines its own grid
+    ("unknown config fields: ['s_points']", {"mode": "gap", "model": NOBARRIER,
+                                             "s_points": 100.5}),
 ], ids=["sweep", "sweep-null", "predict", "fit", "grover-mode", "reproduce-figure-mode",
-        "figure-field"])
+        "figure-field", "s_points-field"])
 def test_mode_requirements_exit_1_before_output(tmp_path, capsys, message, payload):
     # the config is checked before any analysis or sweep runs
     cfg = _write_config(tmp_path, payload)
@@ -418,7 +441,9 @@ def test_figure_recipes_well_formed(name, count):
 def test_unknown_figure_rejected(tmp_path):
     with pytest.raises(ValueError):
         _figure_configs("fig11")
-    assert main(["--figure", "fig11", "--out", str(tmp_path)]) == 1
+    # before any output: no directory is made for the unknown recipe
+    assert main(["--figure", "fig11", "--out", str(tmp_path / "f11")]) == 1
+    assert not (tmp_path / "f11").exists()
 
 
 def test_reproduce_figure_gap_smoke(tmp_path):

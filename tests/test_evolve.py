@@ -9,7 +9,6 @@ from annealosc import (EvolutionConfig, ModelSpec, build_model, ground_state,
 from annealosc import evolve, spectrum
 from annealosc.cli import main
 from annealosc.evolve import ConvergenceError, SweepResult, _propagate
-from annealosc.predict import amplitude_integral
 from annealosc.models import ReducedHamiltonian
 from annealosc.spectrum import DegenerateGroundStateError, gap_trace
 
@@ -407,16 +406,16 @@ def test_two_level_decoupled_stays_put(nobarrier1_trace):
     assert abs(amp.c0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_two_level_refuses_discontinuous_gauge():
-    # the default grid leaves the 1-2 crossing near s = 0.45 unresolved
-    # (test_gauge_continuity_flag), so gamma's sign there is not trustworthy
-    model = build_model(ModelSpec(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8))
-    coarse, fine = gap_trace(model), gap_trace(model, n_points=801)
-    for integrate in (evolve_two_level, amplitude_integral):
-        with pytest.raises(ValueError, match="n_points"):
-            integrate(coarse, 10.0)
-    assert 0.0 <= evolve_two_level(fine, 10.0).p_leak <= 1.0
-    assert math.isfinite(abs(amplitude_integral(fine, 10.0)))
+def test_two_level_trace_refuses_turning_vectors(nobarrier1_trace):
+    # no trace can carry a cell where an eigenvector turns over 45 degrees, so
+    # the two-level integrators never read a gamma of untrusted sign: here the
+    # ground state turns by 60 degrees at one point
+    import dataclasses
+    tr = nobarrier1_trace
+    vec0 = tr.vec0.copy()
+    vec0[:, 200] = 0.5 * tr.vec0[:, 200] + math.sqrt(0.75) * tr.vec1[:, 200]
+    with pytest.raises(ValueError, match="45 degrees"):
+        dataclasses.replace(tr, vec0=vec0)
 
 
 def test_two_level_large_tau_matches_formula(nobarrier1_trace):

@@ -46,6 +46,9 @@ CONFIGS = {
                       "prediction": {"A": 0.1}, "tau_grid": _ONE_TAU},
     "gap": {"mode": "gap", "model": {"kind": "barrier", "n": 16, "mu": 1.3, "alpha": 0.3,
                                      "beta": 0.5}},
+    # a trace whose 1-2 crossing near s = 0.45 takes two rounds of bisection
+    "gap_bisected": {"mode": "gap", "model": {"kind": "barrier", "n": 40, "mu": 1.0,
+                                              "alpha": 0.5, "beta": 0.8}},
 }
 RTOL = 1e-12
 # the stamps every output carries, which change with the version
@@ -170,5 +173,5 @@ def largest_changes(got_dir: Path, want_dir: Path) -> dict[str, float]:
 def test_outputs_match_golden(tmp_path):
     write_outputs(tmp_path)
     changes = largest_changes(tmp_path, GOLDEN)
-    assert len(changes) == 38
+    assert len(changes) == 40
     assert {f: c for f, c in changes.items() if not c <= RTOL} == {}

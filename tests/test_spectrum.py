@@ -134,7 +134,7 @@ def test_refined_trace_decomposes_each_point_once(monkeypatch):
     trace = gap_trace(model)
     assert len(calls) == len(trace.s) > 201
     monkeypatch.undo()
-    fresh = gap_trace(model, grid=trace.s)  # a given grid is used as given
+    fresh = gap_trace(model, grid=trace.s)  # a grid that needs no bisection is kept
     for name in ("lambda0", "lambda1", "delta", "gamma", "rho", "vec0", "vec1"):
         assert np.array_equal(getattr(trace, name), getattr(fresh, name)), name
 
@@ -508,6 +508,9 @@ def test_gap_at_matches_trace(barrier84, barrier84_trace):
     # from _lowest_tridiagonal
     dict(kind="barrier", n=24, mu=1.0, alpha=0.3, beta=0.5),
     dict(kind="barrier", n=40, mu=1.0, alpha=0.3, beta=0.5),
+    # the 1-2 crossing near s = 0.45 takes two rounds of bisection
+    pytest.param(dict(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8),
+                 id="barrier40-bisected"),
     dict(kind="cubic", n=30),
     dict(kind="grover", big_n=64, big_m=1),
     dict(kind="nobarrier", n=1, mu=1.0),
@@ -524,7 +527,6 @@ def test_trace_matches_per_point_reference(spec):
         assert np.abs(getattr(tr, name) - want).max() <= rel * np.abs(want).max(), name
     for name in ("vec0", "vec1"):
         assert np.abs(getattr(tr, name) - getattr(ref, name)).max() <= 1e-12, name
-    assert tr.gauge_continuous == ref.gauge_continuous
     cr = locate_crossing(tr)
     want = locate_crossing(dataclasses.replace(ref, model=model))
     assert cr.kind == want.kind
@@ -555,16 +557,28 @@ def test_trace_signs_do_not_depend_on_eigensolver(monkeypatch):
     assert dense.gamma[0] >= 0 and banded.gamma[0] >= 0
 
 
-def test_gauge_continuity_flag():
+def test_trace_bisects_turning_cells():
     # a 64-point grid turns the ground state by up to 82 degrees per cell
-    # near the 0-1 crossing (min |overlap| 0.14); the default refined grid
-    # resolves it (0.999) but not the 1-2 crossing near s = 0.45, where the
-    # first excited state turns by 76 degrees (0.24); 801 points resolve both
+    # near the 0-1 crossing (min |overlap| 0.14), and the default refined
+    # grid the first excited state by 76 degrees at the 1-2 crossing near
+    # s = 0.45 (0.24); both grids gain midpoints until no cell turns over 45
     model = build_model(ModelSpec(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8))
-    coarse = gap_trace(model, grid=np.linspace(0.0, 1.0, 64))  # used as given
-    assert len(coarse.s) == 64 and not coarse.gauge_continuous
-    assert not gap_trace(model).gauge_continuous
-    assert gap_trace(model, n_points=801).gauge_continuous
+    coarse = np.linspace(0.0, 1.0, 64)
+    default, given = gap_trace(model), gap_trace(model, grid=coarse)
+    assert len(default.s) == 363 and set(coarse) <= set(given.s)
+    for tr in (default, given):
+        for v in (tr.vec0, tr.vec1):
+            assert np.abs(np.sum(v[:, :-1] * v[:, 1:], axis=0)).min() >= math.sqrt(0.5)
+
+
+def test_trace_gauge_unresolvable_raises():
+    # two uncoupled levels that swap order: the excited state jumps at the
+    # swap however fine the grid, so bisection gives up
+    model = ReducedHamiltonian(
+        h0=np.diag([0.0, 1.0, 2.0]), h1=np.diag([0.0, 2.0, 1.3]),
+        schedule=lambda s: s, schedule_deriv=lambda s: np.ones_like(s), label="swap")
+    with pytest.raises(RuntimeError, match="bisection"):
+        gap_trace(model, n_points=64)
 
 
 def test_scalar_spectrum_validates_s(barrier84, grover64):
