@@ -1,6 +1,6 @@
 """Near-adiabatic annealing simulations and leakage-oscillation analysis."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .models import ModelSpec, ReducedHamiltonian, build_model, hamiltonian_at
 from .spectrum import (CrossingParams, GapTrace, gap_trace, locate_crossing,

@@ -142,26 +142,24 @@ def run_sweep_config(spec: ModelSpec, taus: np.ndarray, evo: EvolutionConfig) ->
     return tau_sweep(build_model(spec), taus, evo)
 
 
-_sweep_chunk = run_sweep_config  # unused; perfbench/tracing.py looks it up (ROADMAP item 2)
+_sweep_chunk = run_sweep_config  # unused; perfbench/tracing.py looks it up (ROADMAP item 5)
 
 
 def _analyse(cfg: ExperimentConfig):
     """(trace, crossing, rho0, rho1, m), the analysis gap, predict and fit share.
 
-    Barrier problems take the decoupled chain's closed-form per-qubit rhos,
-    rho(0) = gamma(0)/Delta(0)^2 = mu/2 and rho(1) = (mu/2)/mu^2 = 1/(2 mu),
-    since the barrier sits away from the endpoints, and m = n: their first
-    excited level is n-fold degenerate in the full qubit space, which makes
-    the fitted A comparable across n (pure Landau-Zener gives A = 1).  Other
-    models take the diagonalized trace's rhos and m = 1.  prediction.m
+    The rhos are the trace's endpoint rhos (`rho_endpoints`).  Barrier
+    problems divide them by sqrt(n) and take m = n: their first excited
+    level is n-fold degenerate in the full qubit space, which makes the
+    fitted A comparable across n (pure Landau-Zener gives A = 1); where the
+    bump is far from both ends, as in the decoupled chain, the per-qubit
+    rhos are mu/2 and 1/(2 mu^2).  Other models take m = 1.  prediction.m
     overrides m."""
     spec = cfg.model
     trace = gap_trace(build_model(spec))
     crossing = locate_crossing(trace)
-    if spec.kind == "barrier":
-        rho0, rho1, m = spec.mu / 2.0, 1.0 / (2.0 * spec.mu), spec.n
-    else:
-        (rho0, rho1), m = rho_endpoints(trace), 1
+    root_n, m = (math.sqrt(spec.n), spec.n) if spec.kind == "barrier" else (1.0, 1)
+    rho0, rho1 = (rho / root_n for rho in rho_endpoints(trace))
     return trace, crossing, rho0, rho1, cfg.prediction.get("m", m)
 
 

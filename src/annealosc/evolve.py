@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 2
+# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 5
 from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands  # noqa: F401
 from .models import _check_int, _check_not_bool

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .models import ReducedHamiltonian, _check_int, _check_s
-# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 2
+# unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 5
 from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import hamiltonian_at, tridiagonal_bands  # noqa: F401
 
@@ -212,28 +212,6 @@ class GapTrace:
         return CubicSpline(self.s, self.gamma / self.delta)
 
 
-def _crossing_refine_grid(s_grid: np.ndarray, delta: np.ndarray, n_extra: int) -> np.ndarray:
-    """Extra sample points clustered around the interior gap minimum, none
-    closer to a coarse point than 1e-9 of the coarse cell it falls in."""
-    i = int(np.argmin(delta))
-    if i == 0 or i == len(s_grid) - 1:
-        return np.empty(0)
-    g = delta[i]
-    # refine over the region where Delta < 4g, padded by one coarse cell
-    below = np.where(delta < 4 * g)[0]
-    lo = s_grid[max(below.min() - 1, 0)]
-    hi = s_grid[min(below.max() + 1, len(s_grid) - 1)]
-    extra = np.linspace(lo, hi, n_extra + 2)[1:-1]
-    # a refinement point that should coincide with a coarse point can land a
-    # rounding error away from it; kept, the pair would make a cell so small
-    # that locate_crossing brackets the minimum inside it
-    j = np.searchsorted(s_grid, extra)  # s_grid[j-1] < extra <= s_grid[j]
-    left, right = extra - s_grid[j - 1], s_grid[j] - extra
-    return extra[np.minimum(left, right) > 1e-9 * (left + right)]
-
-
-# points gap_trace adds around an interior gap minimum of its uniform grid
-_N_REFINE = 160
 # rounds of bisection before gap_trace gives up (a default cell then spans 5e-12)
 _MAX_BISECTIONS = 30
 
@@ -242,14 +220,12 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
               n_points: int = 201) -> GapTrace:
     """Sample the two lowest levels along s with a sign-continuous gauge.
 
-    The grid starts as `grid`, or as n_points uniform points and _N_REFINE
-    more around an interior gap minimum.  Each round then bisects every cell
-    where an eigenvector turns by over 45 degrees (`_turning_cells`), until
-    none is left; RuntimeError after _MAX_BISECTIONS rounds.  Each set of
-    points is decomposed in one batch.
+    The grid starts as `grid`, or as n_points uniform points.  Each round
+    then bisects every cell where an eigenvector turns by over 45 degrees
+    (`_turning_cells`), until none is left; RuntimeError after
+    _MAX_BISECTIONS rounds.  Each set of points is decomposed in one batch.
     """
-    refine = grid is None
-    if refine:
+    if grid is None:
         _check_int("n_points", n_points)
         if n_points < 64:
             raise ValueError("need at least 64 grid points")
@@ -261,13 +237,7 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
     lam, vecs = _eigs(model, model.schedule(grid), 2)
     if np.any(lam[:, 1] <= lam[:, 0]):
         raise DegenerateGroundStateError("nonpositive gap on coarse grid")
-    extra = _crossing_refine_grid(grid, lam[:, 1] - lam[:, 0], _N_REFINE) if refine else grid[:0]
     for rounds in range(_MAX_BISECTIONS + 1):
-        if extra.size:
-            lam_x, vecs_x = _eigs(model, model.schedule(extra), 2)
-            order = np.argsort(np.concatenate([grid, extra]))
-            grid, lam, vecs = (np.concatenate(pair)[order] for pair in
-                               ((grid, extra), (lam, lam_x), (vecs, vecs_x)))
         overlap, turning = _turning_cells(vecs[..., 0].T, vecs[..., 1].T)
         if not turning.any():
             break
@@ -276,6 +246,10 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
         if rounds == _MAX_BISECTIONS or not np.all((lo < extra) & (extra < hi)):
             raise RuntimeError(f"an eigenvector turns over 45 degrees in [{lo[0]:.17g}, "
                                f"{hi[0]:.17g}] after {rounds} rounds of bisection")
+        lam_x, vecs_x = _eigs(model, model.schedule(extra), 2)
+        order = np.argsort(np.concatenate([grid, extra]))
+        grid, lam, vecs = (np.concatenate(pair)[order] for pair in
+                           ((grid, extra), (lam, lam_x), (vecs, vecs_x)))
 
     vecs[1:] *= np.cumprod(np.where(overlap < 0, -1.0, 1.0), axis=0)[:, None, :]
     if vecs[0, np.argmax(np.abs(vecs[0, :, 0])), 0] < 0:
@@ -454,16 +428,25 @@ _QUAD_TOL = 1e-10
 
 
 def _two_g_points(model: ReducedHamiltonian, g: float, lo: np.ndarray, hi: np.ndarray,
-                  f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+                  f_lo: np.ndarray, f_hi: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray
+                  ) -> np.ndarray:
     """The points where Delta = 2g, one in each cell [lo, hi] across which
-    Delta - 2g changes sign from f_lo to f_hi.
+    Delta - 2g changes sign from f_lo to f_hi, with slopes d_lo and d_hi.
 
-    Newton steps on the Hellmann-Feynman slope from each cell's secant point;
-    every side's bracket shrinks to its sign change, and a step that leaves
-    it bisects.  All sides are one `_eigs` batch a step, until every step is
-    at most _TWO_G_XTOL.
+    Newton steps on the Hellmann-Feynman slope from each cell's root of the
+    cubic Hermite interpolant of Delta - 2g; every side's bracket shrinks to
+    its sign change, and a step that leaves it bisects.  All sides are one
+    `_eigs` batch a step, until every step is at most _TWO_G_XTOL.
     """
-    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    h = hi - lo
+    m_lo, m_hi, df = h * d_lo, h * d_hi, f_hi - f_lo
+    x = np.empty_like(lo)
+    for k, coeffs in enumerate(zip(m_lo + m_hi - 2.0 * df, 3.0 * df - 2.0 * m_lo - m_hi,
+                                   m_lo, f_lo)):
+        # the root nearest the real interval [0, 1], which holds at least one
+        t = np.roots(coeffs)
+        t = t.real[np.argmin(np.abs(t.imag) + np.abs(t.real - np.clip(t.real, 0.0, 1.0)))]
+        x[k] = lo[k] + h[k] * min(max(t, 0.0), 1.0)
     for _ in range(60):
         delta, slope = _gap_slope(model, x)
         f = delta - 2.0 * g
@@ -497,7 +480,9 @@ def locate_crossing(trace: GapTrace) -> CrossingParams:
     from Newton steps on the same slope, both sides in one batch a step
     (`_two_g_points`).  omega_- and omega_+ each come to within _QUAD_TOL
     absolute from adaptive 21-point Gauss-Kronrod quadrature of Delta on
-    panels graded out from s*, every round of nodes decomposed in one batch
+    panels graded out from s*, the smallest on each side as wide as the 2g
+    half-width there (at a large-gap dip, the trace's Delta < 2g
+    half-width), every round of nodes decomposed in one batch
     (`_gap_integrals`).  Raises RuntimeError when the slopes at the trace
     points around its smallest gap do not bracket a minimum (a trace too
     coarse there).
@@ -509,9 +494,11 @@ def locate_crossing(trace: GapTrace) -> CrossingParams:
         return CrossingParams(kind="none", s_star=math.nan, g=float(delta.min()),
                               v=math.nan, omega_minus=float(omega[0]), omega_plus=0.0)
 
+    def trace_slopes(j):
+        return _hf_slope(model, s[j], np.stack([trace.vec0[:, j].T, trace.vec1[:, j].T], 2))
+
     near = np.arange(i - 1, i + 2)
-    left_slope, slope, right_slope = _hf_slope(
-        model, s[near], np.stack([trace.vec0[:, near].T, trace.vec1[:, near].T], axis=2))
+    left_slope, slope, right_slope = trace_slopes(near)
     gaps = {float(s[j]): float(delta[j]) for j in near}
 
     def gap_slope(x):
@@ -539,11 +526,25 @@ def locate_crossing(trace: GapTrace) -> CrossingParams:
     above = delta > 2 * g
     left = np.flatnonzero(above & (s < s_star))[-1] if above[0] else None
     right = np.flatnonzero(above & (s > s_star))[0] if above[-1] else None
+    if left is None or right is None:
+        # the trace's Delta < 2g half-width on each side, or the whole side
+        wl = s_star - s[left] if left is not None else s_star
+        wr = s[right] - s_star if right is not None else 1.0 - s_star
+    else:
+        # the 2g cells, cut at s* (where the slope is 0): Delta - 2g falls
+        # from + to - on the left and rises from - to + on the right
+        cells = np.array([left, right - 1])
+        lo = np.array([s[left], max(s[right - 1], s_star)])
+        hi = np.array([min(s[left + 1], s_star), s[right]])
+        f_lo = np.where(lo == s_star, g, delta[cells]) - 2 * g
+        f_hi = np.where(hi == s_star, g, delta[cells + 1]) - 2 * g
+        d_lo = np.where(lo == s_star, 0.0, trace_slopes(cells))
+        d_hi = np.where(hi == s_star, 0.0, trace_slopes(cells + 1))
+        rise_left, rise_right = _two_g_points(model, g, lo, hi, f_lo, f_hi, d_lo, d_hi).tolist()
+        wl, wr = s_star - rise_left, rise_right - s_star
 
-    # panels graded out from s*, the smallest as wide as the trace's Delta < 2g
-    # half-width on its side
-    dl = _graded(s_star - s[left] if left is not None else s_star, s_star)
-    dr = _graded(s[right] - s_star if right is not None else 1.0 - s_star, 1.0 - s_star)
+    # panels graded out from s*, the smallest as wide as the half-width on its side
+    dl, dr = _graded(wl, s_star), _graded(wr, 1.0 - s_star)
     edges = np.concatenate([[0.0], s_star - dl[::-1], [s_star], s_star + dr, [1.0]])
     groups = np.repeat([0, 1], [len(dl) + 1, len(dr) + 1])
     omega_minus, omega_plus = _gap_integrals(model, edges, groups, _QUAD_TOL).tolist()
@@ -551,17 +552,9 @@ def locate_crossing(trace: GapTrace) -> CrossingParams:
         return CrossingParams(kind="large-gap", s_star=s_star, g=g, v=math.nan,
                               omega_minus=omega_minus, omega_plus=omega_plus)
 
-    # the 2g cells, cut at s*: Delta - 2g falls from + to - on the left and
-    # rises from - to + on the right
-    lo = np.array([s[left], max(s[right - 1], s_star)])
-    hi = np.array([min(s[left + 1], s_star), s[right]])
-    f_lo = np.where(lo == s_star, g, delta[[left, right - 1]]) - 2 * g
-    f_hi = np.where(hi == s_star, g, delta[[left + 1, right]]) - 2 * g
-    rise_left, rise_right = _two_g_points(model, g, lo, hi, f_lo, f_hi).tolist()
-    w = max(s_star - rise_left, rise_right - s_star)
     # curvature of Delta**2 at the minimum: exact second difference for the
     # Landau-Zener parabola, sampled well inside the crossing region
-    h = min(w / 4.0, s_star, 1.0 - s_star)
+    h = min(max(wl, wr) / 4.0, s_star, 1.0 - s_star)
     lam, _ = _eigs(model, model.schedule(np.array([s_star + h, s_star - h])), 2,
                    vectors=False)
     up, down = (lam[:, 1] - lam[:, 0]).tolist()

@@ -35,8 +35,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from annealosc import fit
 from annealosc.evolve import ConvergenceError, EvolutionConfig, _evolve_batch
 from annealosc.predict import predict_split
-from annealosc.spectrum import (DegenerateGroundStateError, GapTrace,
-                                _crossing_refine_grid)
+from annealosc.spectrum import DegenerateGroundStateError, GapTrace
 
 import reference
 
@@ -265,7 +264,7 @@ def _two_lowest_reference(spec, dense, s):
     return w[:2], v[:, :2]
 
 
-def gap_trace_reference(spec, n_points=201, n_refine=160):
+def gap_trace_reference(spec, n_points=201):
     """gap_trace one point at a time: each H(s) and dH/ds from spec's
     `dense_reference` model, its two lowest pairs from eigh_tridiagonal on
     the bands of a qubit model or numpy's eigh.  Every cell where either
@@ -275,10 +274,7 @@ def gap_trace_reference(spec, n_points=201, n_refine=160):
     gap_trace: the ground state's largest-magnitude entry positive at s = 0,
     and gamma(0) >= 0.  The trace's model is None."""
     dense = dense_reference(spec)
-    grid = np.linspace(0.0, 1.0, n_points)
-    coarse = np.array([np.diff(_two_lowest_reference(spec, dense, s)[0])[0] for s in grid])
-    extra = _crossing_refine_grid(grid, coarse, n_refine)
-    pairs = {s: _two_lowest_reference(spec, dense, s) for s in np.concatenate([grid, extra])}
+    pairs = {s: _two_lowest_reference(spec, dense, s) for s in np.linspace(0.0, 1.0, n_points)}
     while True:
         grid = sorted(pairs)
         mids = [0.5 * (a + b) for a, b in zip(grid[:-1], grid[1:])

@@ -15,6 +15,8 @@ from annealosc.cli import (FIGURES, MODES, ExperimentConfig, TauGrid, _figure_co
                            _recipe, config_hash, main)
 from annealosc.predict import predict_grover
 
+import reference
+
 NOBARRIER = {"kind": "nobarrier", "n": 1, "mu": 1.0}
 
 
@@ -338,6 +340,19 @@ def test_predict_mode_large_gap(tmp_path):
     params = json.loads((tmp_path / "prediction_params.json").read_text())
     assert params["model"] == "large-gap"
     assert params["omega"] == pytest.approx(0.811613, abs=1e-4)
+
+
+@pytest.mark.parametrize("mu", [math.sqrt(2.0), 2.0])
+def test_predict_mode_barrier_endpoint_rho(tmp_path, mu):
+    # the shallow bump sits away from s = 1, where each qubit is the
+    # single-qubit nobarrier model: rho(1) = 1/(2 mu^2), not 1/(2 mu)
+    payload = {"mode": "predict", "tau_grid": {"min": 20.0, "max": 100.0, "count": 5},
+               "model": {"kind": "barrier", "n": 100, "mu": mu, "alpha": 0.1, "beta": 0.1}}
+    cfg = _write_config(tmp_path, payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    params = json.loads((tmp_path / "prediction_params.json").read_text())
+    assert params["m"] == 100
+    assert abs(params["rho1"] - reference.nobarrier1_rhos(mu)[1]) <= 1e-6
 
 
 def test_predict_mode_avoided_needs_a(tmp_path):

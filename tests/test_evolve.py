@@ -84,6 +84,21 @@ def test_barrier_dim17_sweep_against_dense_oracle():
         assert p == pytest.approx(reference.leakage_dop853(dense, tau), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [16, 84])
+def test_nobarrier_sweep_against_product_formula(n):
+    # n independent qubits: the state stays a product, so P_n = 1 - (1 - P_1)^n
+    # exactly, here up to d = 85 (dstevd's route); P_1 from the reference's
+    # DOP853.  step_tolerance bounds each tau's state change between levels
+    # in 2-norm, an absolute measure, so P is held to it absolutely (the
+    # largest error here is 2.5e-8, at n = 84 and tau = 60)
+    tol = 1e-5
+    taus = np.array([20.0, 60.0, 200.0, 500.0, 1000.0])
+    sweep = tau_sweep(build_model(ModelSpec(kind="nobarrier", n=n, mu=1.0)), taus,
+                      EvolutionConfig(step_tolerance=tol))
+    p1 = np.array([reference.leakage_dop853(reference.nobarrier(1, 1.0), tau) for tau in taus])
+    assert np.abs(sweep.probs - (1.0 - (1.0 - p1) ** n)).max() <= tol
+
+
 def test_grover_against_full_space_oracle():
     big_n, big_m, tau = 4, 1, 30.0
     model = build_model(ModelSpec(kind="grover", big_n=big_n, big_m=big_m))

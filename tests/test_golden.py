@@ -36,6 +36,11 @@ CONFIGS = {
                         "model": {"kind": "barrier", "n": 40, "mu": 1.0, "alpha": 0.3,
                                   "beta": 0.5},
                         "tau_grid": {"min": 20.0, "max": 100.0, "count": 31}},
+    # a large-gap barrier whose endpoint rhos differ from mu = 1's
+    "predict_barrier_mu2": {"mode": "predict",
+                            "model": {"kind": "barrier", "n": 100, "mu": 2.0, "alpha": 0.1,
+                                      "beta": 0.1},
+                            "tau_grid": {"min": 20.0, "max": 100.0, "count": 5}},
     "predict_grover": {"mode": "predict", "model": {"kind": "grover", "big_n": 64, "big_m": 1},
                        "tau_grid": _ONE_TAU},
     "predict_grover12": {"mode": "predict", "model": {"kind": "grover", "big_n": 12, "big_m": 3},
@@ -173,5 +178,5 @@ def largest_changes(got_dir: Path, want_dir: Path) -> dict[str, float]:
 def test_outputs_match_golden(tmp_path):
     write_outputs(tmp_path)
     changes = largest_changes(tmp_path, GOLDEN)
-    assert len(changes) == 40
+    assert len(changes) == 42
     assert {f: c for f, c in changes.items() if not c <= RTOL} == {}

@@ -47,6 +47,15 @@ def test_trace_matches_closed_form_mu1(nobarrier1_trace):
     assert np.allclose(tr.delta, reference.nobarrier1_gap(tr.s, 1.0), atol=1e-10)
 
 
+@pytest.mark.parametrize("mu", [1.0, 2.0])
+def test_nobarrier84_trace_is_the_single_qubit_trace(mu):
+    # 84 independent qubits (d = 85): Delta_n = Delta_1 and rho_n = sqrt(n) rho_1
+    tr = gap_trace(build_model(ModelSpec(kind="nobarrier", n=84, mu=mu)))
+    assert np.abs(tr.delta - reference.nobarrier1_gap(tr.s, mu)).max() <= 1e-10
+    rhos = np.array(rho_endpoints(tr)) / math.sqrt(84)
+    assert np.abs(rhos - reference.nobarrier1_rhos(mu)).max() <= 1e-10
+
+
 def test_gamma_delta_product_is_half_mu(nobarrier1_trace):
     # gamma(s) = mu / (2 Delta(s)) in the decoupled problem
     tr = nobarrier1_trace
@@ -110,29 +119,29 @@ def test_shallow_barrier_takes_large_gap_path():
     assert cr.kind in ("large-gap", "none")
 
 
-def test_refined_grid_has_no_near_duplicate_point():
-    # a refinement point rounds to 5.6e-17 from the coarse point s = 0.37;
-    # kept, it made locate_crossing return that point instead of the
-    # minimum (0.3682826 from a dense eigvalsh scan)
-    model = build_model(ModelSpec(kind="barrier", n=40, mu=1.0,
-                                  alpha=0.3307940789736494,
-                                  beta=0.5272988341563213))
-    trace = gap_trace(model)
-    assert np.diff(trace.s).min() >= 1e-12
-    assert locate_crossing(trace).s_star == pytest.approx(0.3682826, abs=1e-6)
+def test_known_fault_model_crossing_matches_reference():
+    # perfbench's analysis-scan known-fault model: a refinement point
+    # 5.6e-17 from s = 0.37 once pulled its s* to 0.37; the dense reference
+    # gives 0.3682826
+    k = dict(n=40, alpha=0.3307940789736494, beta=0.5272988341563213)
+    want = reference.crossing(reference.barrier(k["n"], 1.0, k["alpha"], k["beta"]))
+    cr = locate_crossing(gap_trace(build_model(ModelSpec(kind="barrier", mu=1.0, **k))))
+    assert cr.kind == want.kind == "avoided"
+    assert abs(cr.s_star - want.s_star) <= 1e-6
 
 
 def test_refined_trace_decomposes_each_point_once(monkeypatch):
-    # the gauge pass reuses the coarse pass's eigenpairs; only the
-    # refinement points are decomposed a second time
+    # the gauge pass reuses the uniform grid's eigenpairs; each round of
+    # bisection (two here, test_trace_bisects_turning_cells) decomposes only
+    # its new points
     model = build_model(ModelSpec(kind="barrier", n=40, mu=1.0,
-                                  alpha=0.3, beta=0.5))
+                                  alpha=0.5, beta=0.8))
     calls = []
     real = spectrum._STEBZ
     monkeypatch.setattr(spectrum, "_STEBZ",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     trace = gap_trace(model)
-    assert len(calls) == len(trace.s) > 201
+    assert len(calls) == len(trace.s)
     monkeypatch.undo()
     fresh = gap_trace(model, grid=trace.s)  # a grid that needs no bisection is kept
     for name in ("lambda0", "lambda1", "delta", "gamma", "rho", "vec0", "vec1"):
@@ -285,7 +294,7 @@ SLOPE_ROOT_MODELS = {
     "cubic30": (dict(kind="cubic", n=30), 0.13742191688030303),
     "barrier40_excited": (dict(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8),
                           0.01839020960083637),
-    # the refinement point 5.6e-17 from s = 0.37 (test_refined_grid_has_no_near_duplicate_point)
+    # perfbench's known-fault model (test_known_fault_model_crossing_matches_reference)
     "barrier40_fault": (dict(kind="barrier", n=40, mu=1.0, alpha=0.3307940789736494,
                              beta=0.5272988341563213), 0.2274108093469689),
     "barrier32_large_gap": (dict(kind="barrier", n=32, mu=1.0, alpha=0.06, beta=0.06),
@@ -559,16 +568,25 @@ def test_trace_signs_do_not_depend_on_eigensolver(monkeypatch):
 
 def test_trace_bisects_turning_cells():
     # a 64-point grid turns the ground state by up to 82 degrees per cell
-    # near the 0-1 crossing (min |overlap| 0.14), and the default refined
-    # grid the first excited state by 76 degrees at the 1-2 crossing near
-    # s = 0.45 (0.24); both grids gain midpoints until no cell turns over 45
+    # near the 0-1 crossing (min |overlap| 0.14), and the default 201-point
+    # grid by 59 degrees there (0.52) and the first excited state by 76
+    # degrees at the 1-2 crossing near s = 0.45 (0.24); both grids gain
+    # midpoints until no cell turns over 45
     model = build_model(ModelSpec(kind="barrier", n=40, mu=1.0, alpha=0.5, beta=0.8))
     coarse = np.linspace(0.0, 1.0, 64)
     default, given = gap_trace(model), gap_trace(model, grid=coarse)
-    assert len(default.s) == 363 and set(coarse) <= set(given.s)
+    assert len(default.s) == 205 and set(coarse) <= set(given.s)
     for tr in (default, given):
         for v in (tr.vec0, tr.vec1):
             assert np.abs(np.sum(v[:, :-1] * v[:, 1:], axis=0)).min() >= math.sqrt(0.5)
+
+
+@pytest.mark.parametrize("name", ["barrier84", "cubic30", "grover64", "nobarrier_mu1"])
+def test_default_trace_takes_few_points_beyond_its_grid(name):
+    # a count of the trace's work: its 201 uniform points and the midpoints
+    # that bisection adds (version 0.13.0 took 339-361 points)
+    spec = ModelSpec(**ORACLE_MODELS[name][0])
+    assert len(gap_trace(build_model(spec)).s) <= 210
 
 
 def test_trace_gauge_unresolvable_raises():
