@@ -16,7 +16,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from . import __version__
 from .evolve import ConvergenceError, EvolutionConfig, SweepResult, tau_sweep
 from .fit import _check_sweep, fit_A, fit_A_v
 from .models import ModelSpec, _check_int, _check_not_bool, build_model
-from .predict import (LargeGapParams, grover_gamma, grover_omega, predict_grover,
+from .predict import (LargeGapParams, grover_omega, grover_rho, predict_grover,
                       predict_large_gap, predict_split, split_params_from_crossing)
 from .spectrum import (DegenerateGroundStateError, gap_trace, locate_crossing,
                        rho_endpoints)
@@ -60,7 +60,7 @@ class ExperimentConfig:
     tau_grid: TauGrid | None = None
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     outputs: str = "out"
-    prediction: dict = field(default_factory=dict)  # A, v, m overrides
+    prediction: dict = field(default_factory=dict)  # A, v overrides
     fit_vary_v: bool = False
 
     def __post_init__(self):
@@ -70,15 +70,11 @@ class ExperimentConfig:
             raise ValueError(f"{self.mode} mode requires a model")
         if self.tau_grid is None and self.mode != "gap":
             raise ValueError(f"{self.mode} mode requires a tau_grid")
-        # predict and fit modes read m as given: a float is not truncated
-        m = self.prediction.get("m", 1)
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise ValueError(f"prediction.m must be an integer >= 1, got {m!r}")
         for name in ("A", "v"):
             _check_not_bool(f"prediction.{name}", self.prediction.get(name))
-        # the fields each run reads: predict's A and v only at an avoided crossing (run_predict)
-        read = {"fit": {"m"}, "predict": set() if self.model.kind == "grover" else {"A", "v", "m"}}
-        if unread := set(self.prediction) - read.get(self.mode, set()):
+        # the fields the run reads: predict's A and v, only at an avoided crossing (run_predict)
+        read = {"A", "v"} if self.mode == "predict" and self.model.kind != "grover" else set()
+        if unread := set(self.prediction) - read:
             raise ValueError(f"{self.mode} mode on a {self.model.kind} model reads no "
                              f"prediction fields {sorted(unread)}")
         if not isinstance(self.fit_vary_v, bool):
@@ -153,14 +149,13 @@ def _analyse(cfg: ExperimentConfig):
     level is n-fold degenerate in the full qubit space, which makes the
     fitted A comparable across n (pure Landau-Zener gives A = 1); where the
     bump is far from both ends, as in the decoupled chain, the per-qubit
-    rhos are mu/2 and 1/(2 mu^2).  Other models take m = 1.  prediction.m
-    overrides m."""
+    rhos are mu/2 and 1/(2 mu^2).  Other models take m = 1."""
     spec = cfg.model
     trace = gap_trace(build_model(spec))
     crossing = locate_crossing(trace)
     root_n, m = (math.sqrt(spec.n), spec.n) if spec.kind == "barrier" else (1.0, 1)
     rho0, rho1 = (rho / root_n for rho in rho_endpoints(trace))
-    return trace, crossing, rho0, rho1, cfg.prediction.get("m", m)
+    return trace, crossing, rho0, rho1, m
 
 
 def run_gap(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
@@ -169,16 +164,10 @@ def run_gap(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
               ["s", "lambda0", "lambda1", "delta", "gamma", "rho"],
               [trace.s, trace.lambda0, trace.lambda1, trace.delta,
                trace.gamma, trace.rho], cfg)
-    payload = {
-        "kind": crossing.kind,
-        "s_star": None if math.isnan(crossing.s_star) else crossing.s_star,
-        "g": crossing.g,
-        "v": None if math.isnan(crossing.v) else crossing.v,
-        "omega_minus": crossing.omega_minus,
-        "omega_plus": crossing.omega_plus,
-        "omega": crossing.omega,
-    }
-    write_json(out / f"crossing{tag}.json", payload, cfg)
+    # every CrossingParams field, NaN (no crossing) as null, and omega
+    payload = {name: None if isinstance(x, float) and math.isnan(x) else x
+               for name, x in asdict(crossing).items()}
+    write_json(out / f"crossing{tag}.json", {**payload, "omega": crossing.omega}, cfg)
 
 
 def run_sweep(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
@@ -194,7 +183,7 @@ def run_predict(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
     if spec.kind == "grover":
         probs = predict_grover(spec.big_n, spec.big_m, taus)
         params = {"model": "grover", "omega": grover_omega(spec.big_n, spec.big_m),
-                  "rho": grover_gamma(spec.big_n, spec.big_m, 0.0)}
+                  "rho": grover_rho(spec.big_n, spec.big_m)}
     else:
         _trace, crossing, rho0, rho1, m = _analyse(cfg)
         if crossing.kind == "avoided":
@@ -230,14 +219,9 @@ def run_fit(cfg: ExperimentConfig, out: Path, tag: str = "") -> None:
     taus = cfg.tau_grid.values()
     _check_sweep(taus, crossing.omega)
     sweep = run_sweep_config(cfg.model, taus, cfg.evolution)
-    if cfg.fit_vary_v:
-        p = split_params_from_crossing(crossing, rho0, rho1, v=crossing.v, m=m)
-        result = fit_A_v(sweep, p)
-        p = p.with_values(A=result.a_hat, v=result.v_hat)
-    else:
-        p = split_params_from_crossing(crossing, rho0, rho1, m=m)
-        result = fit_A(sweep, p)
-        p = p.with_values(A=result.a_hat)
+    p = split_params_from_crossing(crossing, rho0, rho1, m=m)
+    result = fit_A_v(sweep, p) if cfg.fit_vary_v else fit_A(sweep, p)
+    p = replace(p, A=result.a_hat, v=p.v if result.v_hat is None else result.v_hat)
     write_json(out / f"fit{tag}.json", result.provenance(p, sweep), cfg)
     write_csv(out / f"fit_curve{tag}.csv", ["tau", "p_fitted"],
               [sweep.taus, predict_split(p, sweep.taus)], cfg)

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands  # noqa: F401
 from .models import _check_int, _check_not_bool
-from .spectrum import DegenerateGroundStateError, _eigs, _two_lowest
+from .spectrum import _check_gap, _eigs, _two_lowest
 
 
 class ConvergenceError(RuntimeError):
@@ -95,10 +95,10 @@ class SweepResult:
 
 def ground_state(model: ReducedHamiltonian, s: float) -> np.ndarray:
     """Normalized lowest eigenvector of H(s); sign fixed so the largest-
-    magnitude entry is positive."""
+    magnitude entry is positive.  DegenerateGroundStateError when the two
+    lowest levels coincide (`spectrum._check_gap`)."""
     vals, vecs = _two_lowest(model, s)
-    if vals[1] - vals[0] <= 1e-12 * max(abs(vals[1]), 1.0):
-        raise DegenerateGroundStateError(f"ground state degenerate at s={s}")
+    _check_gap(s, vals[0], vals[1])
     v = vecs[:, 0]
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
@@ -230,11 +230,6 @@ def _leakage(phi0: np.ndarray, psi: np.ndarray) -> np.ndarray:
     of psi's part orthogonal to phi0 (no cancellation at small P), at most 1."""
     excited = psi - np.multiply.outer(phi0, phi0 @ psi)
     return np.minimum(np.linalg.norm(excited, axis=0) ** 2, 1.0)
-
-
-def transition_probability(psi: np.ndarray, model: ReducedHamiltonian) -> float:
-    """P = 1 - |<phi0(1)|psi>|^2, computed as in _leakage."""
-    return float(_leakage(ground_state(model, 1.0), psi))
 
 
 def tau_sweep(model: ReducedHamiltonian, taus: np.ndarray,

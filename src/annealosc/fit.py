@@ -15,7 +15,7 @@ formed once per fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,7 +158,7 @@ def fit_A(sweep: SweepResult, p: SplitParams) -> FitResult:
     s, r = _fixed_terms(p, taus, probs)
     a_hat, _sse, on_edge = _exact_A(np.array([p.v]), p.g, p.m, taus, s, r, _A_MAX)
     a_hat = float(a_hat[0])
-    resid = probs - predict_split(p.with_values(A=a_hat), taus)
+    resid = probs - predict_split(replace(p, A=a_hat), taus)
     return FitResult(a_hat=a_hat, v_hat=None, rms_residual=_rms(resid),
                      n_points=len(taus), converged=not on_edge[0])
 
@@ -212,7 +212,7 @@ def fit_A_v(sweep: SweepResult, p: SplitParams,
         logv = grid[i]
     logv = float(logv)
     v_hat, a_hat = math.exp(logv), a_at[logv]
-    resid = probs - predict_split(p.with_values(A=a_hat, v=v_hat), taus)
+    resid = probs - predict_split(replace(p, A=a_hat, v=v_hat), taus)
     # degenerate when forcing A = 0 fits essentially as well (the data carry
     # no Landau-Zener signal, so v is arbitrary), or v ran into its bounds;
     # the SSE at A = 0 is sum r^2 at every v

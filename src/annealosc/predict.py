@@ -1,18 +1,19 @@
 """Closed-form leakage predictions.
 
-Covers the oscillatory-integral amplitude, the large-gap probability formula,
-the Landau-Zener frequency-splitting ansatz, and the adiabatic-search
-(Grover) special case where everything is analytic.
+Covers the oscillatory-integral amplitude (`amplitude_integral`, a quadrature
+on a gap trace), the large-gap probability formula, the Landau-Zener
+frequency-splitting ansatz, and the adiabatic-search (Grover) special case,
+whose frequency and endpoint rho are closed forms of N and M alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _check_int, _check_not_bool, _check_s, grover_schedule
+from .models import _check_int, _check_not_bool
 from .spectrum import CrossingParams, GapTrace
 
 
@@ -44,7 +45,7 @@ class LargeGapParams:
 @dataclass(frozen=True)
 class SplitParams:
     """Inputs to the frequency-split ansatz.  A may be None until fitted,
-    and may be negative, but not NaN or infinite."""
+    and may be negative, but not NaN or infinite; v is positive and finite."""
 
     rho0: float
     rho1: float
@@ -63,13 +64,10 @@ class SplitParams:
             raise ValueError("g must be positive")
         for name in ("A", "v"):
             _check_not_bool(name, getattr(self, name))
-        if self.v is not None and not 0 < self.v < math.inf:
+        if self.v is None or not 0 < self.v < math.inf:
             raise ValueError(f"v must be positive and finite, got {self.v}")
         if self.A is not None and not math.isfinite(self.A):
             raise ValueError(f"A must be finite, got {self.A}")
-
-    def with_values(self, **kw) -> "SplitParams":
-        return replace(self, **kw)
 
 
 def _taus(tau) -> np.ndarray:
@@ -163,12 +161,19 @@ def amplitude_integral(trace: GapTrace, tau: float) -> complex:
     evaluated Filon-style: the cumulative phase is tabulated once via a cubic
     spline antiderivative, then each subinterval is integrated analytically
     with linear amplitude and linear phase, so accuracy is uniform in tau.
+
+    Delta and gamma/Delta are cubic splines through the trace points, so the
+    trace's grid sets the accuracy: at a sharp crossing a default trace
+    (`gap_trace`, 201 points plus bisection) gives C1 to about 1e-3 relative:
+    on cubic30 at tau = 50, 200 and 800 its error against a 4,001-point trace
+    is 6.9e-4 to 9.0e-4, with |C1| from 1.4 down to 0.72.
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
-    dspl = trace.delta_spline()
-    coup = trace.coupling_spline()
-    phase_to_one = dspl.antiderivative()
+    # imported on first use, so that importing the package skips scipy.interpolate
+    from scipy.interpolate import CubicSpline
+    coup = CubicSpline(trace.s, trace.gamma / trace.delta)
+    phase_to_one = CubicSpline(trace.s, trace.delta).antiderivative()
     total = float(phase_to_one(1.0))
 
     # resolve both the amplitude structure and the phase oscillation: at least
@@ -208,41 +213,25 @@ def _check_search(big_n: int, big_m: int) -> None:
         raise ValueError(f"need 1 <= M < N, got M={big_m}, N={big_n}")
 
 
+def grover_rho(big_n: int, big_m: int) -> float:
+    """Endpoint rho = gamma(0) / Delta(0)^2 = arctan(sqrt((N-M)/M)) under the
+    optimal schedule, where Delta(0) = 1; rho(1) is the same."""
+    _check_search(big_n, big_m)
+    return math.atan(math.sqrt((big_n - big_m) / big_m))
+
+
 def grover_omega(big_n: int, big_m: int) -> float:
     """Oscillation frequency sqrt(M/N) artanh(sqrt((N-M)/N)) / arctan(sqrt((N-M)/M))."""
-    _check_search(big_n, big_m)
+    theta = grover_rho(big_n, big_m)
     frac = big_m / big_n
-    return math.sqrt(frac) * math.atanh(math.sqrt(1.0 - frac)) / math.atan(
-        math.sqrt((big_n - big_m) / big_m))
-
-
-def grover_gap(big_n: int, big_m: int, s):
-    """Gap sqrt(1 - 4 (1-g) g (N-M)/N) under the optimal schedule."""
-    _check_search(big_n, big_m)
-    _check_s(s)
-    g, _ = grover_schedule(big_n, big_m)
-    gs = g(np.asarray(s, float))
-    out = np.sqrt(1.0 - 4.0 * (1.0 - gs) * gs * (big_n - big_m) / big_n)
-    return float(out) if out.ndim == 0 else out
-
-
-def grover_gamma(big_n: int, big_m: int, s):
-    """Coupling gamma(s) = g'(s) sqrt(M(N-M)) / (N Delta(s)) under the optimal
-    schedule; symmetric about s = 1/2 with gamma(0) = gamma(1) =
-    arctan(sqrt((N-M)/M))."""
-    _check_search(big_n, big_m)
-    _check_s(s)
-    s = np.asarray(s, float)
-    _, gp = grover_schedule(big_n, big_m)
-    out = gp(s) * math.sqrt(big_m * (big_n - big_m)) / (big_n * grover_gap(big_n, big_m, s))
-    return float(out) if np.ndim(out) == 0 else out
+    return math.sqrt(frac) * math.atanh(math.sqrt(1.0 - frac)) / theta
 
 
 def predict_grover(big_n: int, big_m: int, tau):
     """Leading-order leakage P = (4 rho^2 / tau^2) sin^2(omega tau / 2), with
-    rho = gamma(0) / Delta(0)^2 and Delta(0) = 1."""
+    rho = `grover_rho`."""
     tau = _taus(tau)
-    rho = grover_gamma(big_n, big_m, 0.0)
+    rho = grover_rho(big_n, big_m)
     omega = grover_omega(big_n, big_m)
     out = (4.0 * rho**2 / tau**2) * np.sin(omega * tau / 2.0) ** 2
     return float(out) if out.ndim == 0 else out

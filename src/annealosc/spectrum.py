@@ -2,6 +2,8 @@
 
 Conventions: Delta(s) = lambda1 - lambda0 > 0, gamma(s) = <phi0|dH/ds|phi1>
 with a sign-continuous eigenvector gauge, and rho(s) = gamma(s)/Delta(s)**2.
+A gap of at most 1e-12 max(|lambda1|, 1) is a degenerate ground state
+(`_check_gap`), in a trace as in evolve's initial and final states.
 
 `_eigs` is the package's one eigensolver: `gap_trace`, the scalar helpers and
 evolve's propagator all call it, and its docstring says which routine serves
@@ -33,7 +35,17 @@ from .models import hamiltonian_at, tridiagonal_bands  # noqa: F401
 
 
 class DegenerateGroundStateError(RuntimeError):
-    """Raised when the two lowest levels coincide (Delta <= 0)."""
+    """Raised when the two lowest levels coincide (see `_check_gap`)."""
+
+
+def _check_gap(s, lambda0, lambda1) -> None:
+    """Raise DegenerateGroundStateError at the first point s where the two
+    lowest levels lambda0 <= lambda1 coincide to rounding:
+    Delta <= 1e-12 max(|lambda1|, 1).  Scalars or arrays of one shape."""
+    s, lambda0, lambda1 = (np.atleast_1d(x) for x in (s, lambda0, lambda1))
+    bad = np.flatnonzero(lambda1 - lambda0 <= 1e-12 * np.maximum(np.abs(lambda1), 1.0))
+    if bad.size:
+        raise DegenerateGroundStateError(f"ground state degenerate at s={s[bad[0]]}")
 
 
 # Every model is a symmetric tridiagonal pair; its lowest pairs come from
@@ -170,7 +182,8 @@ class GapTrace:
     state's largest-magnitude entry (as in `ground_state`) and gamma are not
     negative, whatever the eigensolver.  A cell where an eigenvector turns by
     over 45 degrees leaves gamma's sign to chance: such a trace raises
-    ValueError (`gap_trace` bisects those cells).  The vectors are kept (dim x
+    ValueError (`gap_trace` bisects those cells), and a degenerate point
+    DegenerateGroundStateError (`_check_gap`).  The vectors are kept (dim x
     npoints per level) for cross checks and endpoint gauges.  delta and rho
     are computed from the other fields, so a `dataclasses.replace` of
     lambda0, lambda1 or gamma keeps them in step.
@@ -189,9 +202,8 @@ class GapTrace:
     def __post_init__(self):
         if self.s[0] != 0.0 or self.s[-1] != 1.0 or np.any(np.diff(self.s) <= 0):
             raise ValueError("s grid must strictly increase from 0 to 1")
+        _check_gap(self.s, self.lambda0, self.lambda1)
         delta = self.lambda1 - self.lambda0
-        if np.any(delta <= 0):
-            raise DegenerateGroundStateError("nonpositive gap in trace")
         if _turning_cells(self.vec0, self.vec1)[1].any():
             raise ValueError("an eigenvector turns over 45 degrees in a trace cell")
         object.__setattr__(self, "delta", delta)
@@ -199,17 +211,6 @@ class GapTrace:
         for a in (self.s, self.lambda0, self.lambda1, self.delta, self.gamma,
                   self.rho, self.vec0, self.vec1):
             a.setflags(write=False)
-
-    def delta_spline(self):
-        # imported on first use, so that importing the package skips scipy.interpolate
-        from scipy.interpolate import CubicSpline
-        return CubicSpline(self.s, self.delta)
-
-    def coupling_spline(self):
-        """Cubic spline of gamma(s)/Delta(s)."""
-        # imported on first use, so that importing the package skips scipy.interpolate
-        from scipy.interpolate import CubicSpline
-        return CubicSpline(self.s, self.gamma / self.delta)
 
 
 # rounds of bisection before gap_trace gives up (a default cell then spans 5e-12)
@@ -235,8 +236,7 @@ def gap_trace(model: ReducedHamiltonian, grid: np.ndarray | None = None,
         raise ValueError("grid must strictly increase from 0 to 1")
 
     lam, vecs = _eigs(model, model.schedule(grid), 2)
-    if np.any(lam[:, 1] <= lam[:, 0]):
-        raise DegenerateGroundStateError("nonpositive gap on coarse grid")
+    _check_gap(grid, lam[:, 0], lam[:, 1])
     for rounds in range(_MAX_BISECTIONS + 1):
         overlap, turning = _turning_cells(vecs[..., 0].T, vecs[..., 1].T)
         if not turning.any():

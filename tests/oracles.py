@@ -20,21 +20,26 @@ vectorised profile, and fit_A_v_golden, the golden-section search
 (golden_min) of the fit profile that the joint fit used before its slope
 root.  evolve_schrodinger (the CF4 sweep for one tau, with a norm check),
 evolve_two_level (the DOP853 eigenbasis cross-check of the amplitude
-integral and of the reduced sweeps) and fit_single_frequency (the nested
-single-frequency baseline of the fit) left the package when no code in it
-called them any more; they live here for the tests that use them.
+integral and of the reduced sweeps), fit_single_frequency (the nested
+single-frequency baseline of the fit), transition_probability (P of one
+final state) and the search model's s-dependent closed forms grover_gap and
+grover_gamma (which check its generic trace) left the package when no code
+in it called them any more; they live here for the tests that use them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from annealosc import fit
-from annealosc.evolve import ConvergenceError, EvolutionConfig, _evolve_batch
-from annealosc.predict import predict_split
+from annealosc.evolve import (ConvergenceError, EvolutionConfig, _evolve_batch, _leakage,
+                              ground_state)
+from annealosc.models import _check_s, grover_schedule
+from annealosc.predict import _check_search, predict_split
 from annealosc.spectrum import DegenerateGroundStateError, GapTrace
 
 import reference
@@ -86,9 +91,9 @@ def exact_A_reference(p, taus, probs, a_max):
     """Least-squares A on [0, a_max] at the v of p, from three predict_split
     calls: P = q A^2 + l A + c with c = P(0), q and l from P(+-1).  Returns
     (A, SSE(A), A is an endpoint)."""
-    c = predict_split(p.with_values(A=0.0), taus)
-    up = predict_split(p.with_values(A=1.0), taus)
-    down = predict_split(p.with_values(A=-1.0), taus)
+    c = predict_split(replace(p, A=0.0), taus)
+    up = predict_split(replace(p, A=1.0), taus)
+    down = predict_split(replace(p, A=-1.0), taus)
     q, l, r = 0.5 * (up + down) - c, 0.5 * (up - down), probs - c
     roots = np.roots([2.0 * (q @ q), 3.0 * (q @ l), l @ l - 2.0 * (q @ r),
                       -(l @ r)]).real
@@ -194,6 +199,11 @@ def evolve_schrodinger(model, tau, cfg=EvolutionConfig()):
     return psi
 
 
+def transition_probability(psi, model):
+    """P = 1 - |<phi0(1)|psi>|^2 of one final state, as tau_sweep computes it."""
+    return float(_leakage(ground_state(model, 1.0), psi))
+
+
 @dataclass(frozen=True)
 class TwoLevelAmplitudes:
     c0: complex
@@ -216,8 +226,8 @@ def evolve_two_level(trace, tau, m=1):
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
-    coup = trace.coupling_spline()
-    dspl = trace.delta_spline()
+    coup = CubicSpline(trace.s, trace.gamma / trace.delta)
+    dspl = CubicSpline(trace.s, trace.delta)
 
     def rhs(s, y):
         c0, c1 = y
@@ -307,6 +317,28 @@ def gap_trace_reference(spec, n_points=201):
         gamma = -gamma
     return GapTrace(s=grid, lambda0=lam[0], lambda1=lam[1], gamma=gamma,
                     vec0=vecs[0], vec1=vecs[1], model=None)
+
+
+def grover_gap(big_n, big_m, s):
+    """Gap sqrt(1 - 4 (1-g) g (N-M)/N) under the optimal schedule."""
+    _check_search(big_n, big_m)
+    _check_s(s)
+    g, _ = grover_schedule(big_n, big_m)
+    gs = g(np.asarray(s, float))
+    out = np.sqrt(1.0 - 4.0 * (1.0 - gs) * gs * (big_n - big_m) / big_n)
+    return float(out) if out.ndim == 0 else out
+
+
+def grover_gamma(big_n, big_m, s):
+    """Coupling gamma(s) = g'(s) sqrt(M(N-M)) / (N Delta(s)) under the optimal
+    schedule; symmetric about s = 1/2 with gamma(0) = gamma(1) =
+    arctan(sqrt((N-M)/M))."""
+    _check_search(big_n, big_m)
+    _check_s(s)
+    s = np.asarray(s, float)
+    _, gp = grover_schedule(big_n, big_m)
+    out = gp(s) * math.sqrt(big_m * (big_n - big_m)) / (big_n * grover_gap(big_n, big_m, s))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def central_difference(f, x, delta=1e-5):

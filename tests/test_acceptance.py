@@ -8,6 +8,7 @@ slower than the unit suites: they run real sweeps at production settings
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,19 +18,19 @@ from annealosc import (ModelSpec, build_model, gap_trace, locate_crossing,
                        tau_sweep)
 from annealosc import cli
 from annealosc.cli import main
-from annealosc.evolve import (EvolutionConfig, _propagate, ground_state,
-                              transition_probability)
+from annealosc.evolve import EvolutionConfig, _propagate, ground_state
 from annealosc.fit import fit_A, fit_A_v
 from annealosc.models import hamiltonian_at
-from annealosc.predict import (LargeGapParams, SplitParams, grover_gamma,
-                               grover_omega, predict_grover,
+from annealosc.predict import (LargeGapParams, SplitParams, grover_omega,
+                               grover_rho, predict_grover,
                                predict_large_gap, predict_split,
                                split_params_from_crossing)
 from annealosc.spectrum import rho_endpoints
 import reference
 from oracles import (dense_reference, evolve_schrodinger, evolve_two_level,
                      fit_single_frequency, full_grover_hamiltonian,
-                     full_qubit_hamiltonians, symmetric_sector_eigenvalues)
+                     full_qubit_hamiltonians, symmetric_sector_eigenvalues,
+                     transition_probability)
 from test_cli import _cheap_recipe
 
 
@@ -217,7 +218,7 @@ def test_criterion_6_cubic_joint_fit_reproduces_extrema(capsys):
     rho0, rho1 = rho_endpoints(trace)
     params = split_params_from_crossing(crossing, rho0, rho1, m=1)
     result = fit_A_v(sweep, params, v_range=(0.5, 50.0))
-    fitted = params.with_values(A=result.a_hat, v=result.v_hat)
+    fitted = replace(params, A=result.a_hat, v=result.v_hat)
 
     data_extrema = _refined_extrema(taus, sweep.probs)
     fine = np.linspace(taus[0], taus[-1], 20001)
@@ -243,7 +244,7 @@ def test_criterion_7_search_model_analytics_match_data(capsys):
 
     taus = np.linspace(150.0, 500.0, 241)
     sweep = tau_sweep(model, taus, EvolutionConfig(step_tolerance=1e-7))
-    rho = grover_gamma(64, 1, 0.0)
+    rho = grover_rho(64, 1)
     minima_ok, peaks_ok = True, True
     for t in _refined_extrema(taus, sweep.probs):
         i = int(np.argmin(np.abs(taus - t)))
@@ -302,11 +303,11 @@ def test_criterion_9_fit_round_trips_and_cli_determinism(capsys, tmp_path,
 
     from annealosc.evolve import SweepResult
     sweep_a = SweepResult(taus=taus,
-                          probs=predict_split(base.with_values(A=0.25), taus),
+                          probs=predict_split(replace(base, A=0.25), taus),
                           model_label="synthetic", config=EvolutionConfig())
     res_a = fit_A(sweep_a, base)
     sweep_av = SweepResult(taus=taus,
-                           probs=predict_split(base.with_values(A=0.2), taus),
+                           probs=predict_split(replace(base, A=0.2), taus),
                            model_label="synthetic", config=EvolutionConfig())
     res_av = fit_A_v(sweep_av, base)
 

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from annealosc import (EvolutionConfig, ModelSpec, build_model, ground_state,
-                       tau_sweep, transition_probability)
+from annealosc import EvolutionConfig, ModelSpec, build_model, ground_state, tau_sweep
 from annealosc import evolve, spectrum
 from annealosc.cli import main
 from annealosc.evolve import ConvergenceError, SweepResult, _propagate
@@ -14,7 +13,8 @@ from annealosc.spectrum import DegenerateGroundStateError, gap_trace
 
 import reference
 from oracles import (cf4_reference, evolve_schrodinger, evolve_two_level,
-                     full_grover_hamiltonian, integrate_schrodinger_full)
+                     full_grover_hamiltonian, integrate_schrodinger_full,
+                     transition_probability)
 
 from test_spectrum import OMEGA_NB_MU1
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ BASE = SplitParams(rho0=0.5, rho1=1.0, omega_minus=0.3, omega_plus=0.5,
 def synthetic_sweep(a, v=None, taus=None, noise=None, rng=None):
     if taus is None:
         taus = np.linspace(20.0, 120.0, 120)
-    p = BASE.with_values(A=a) if v is None else BASE.with_values(A=a, v=v)
+    p = replace(BASE, A=a) if v is None else replace(BASE, A=a, v=v)
     probs = predict_split(p, taus)
     if noise is not None:
         probs = probs * (1.0 + noise * rng.standard_normal(len(taus)))
@@ -72,7 +73,7 @@ def test_fit_a_finds_exact_minimum(a, a_max, noise, seed):
 
     def sse(x):
         return float(np.sum((sweep.probs
-                             - predict_split(BASE.with_values(A=x), sweep.taus)) ** 2))
+                             - predict_split(replace(BASE, A=x), sweep.taus)) ** 2))
 
     a_hat = float(_profile([BASE.v], sweep, a_max)[0][0])
     assert 0.0 <= a_hat <= a_max
@@ -136,7 +137,7 @@ def test_fit_invariant_under_point_order():
     # the objective depends only on the set of (tau, P) pairs
     rng = np.random.default_rng(3)
     taus = np.linspace(20.0, 120.0, 120)
-    probs = predict_split(BASE.with_values(A=0.3), taus)
+    probs = predict_split(replace(BASE, A=0.3), taus)
     perm = rng.permutation(len(taus))
     order = np.argsort(taus[perm])
     shuffled = SweepResult(taus=taus[perm][order], probs=probs[perm][order],
@@ -191,7 +192,7 @@ def test_profile_matches_reference(a, log_v_true, noise, a_max, log_vs, seed):
     got_a, got_sse, got_edge = _profile(vs, sweep, a_max)
     for j, v in enumerate(vs):
         want_a, want_sse, want_edge = exact_A_reference(
-            BASE.with_values(v=v), sweep.taus, sweep.probs, a_max)
+            replace(BASE, v=v), sweep.taus, sweep.probs, a_max)
         assert abs(got_a[j] - want_a) <= 1e-12
         # near an exact fit SSE is a sum of residuals far below the data, so
         # both carry the data's rounding: |dSSE| <= 2 sqrt(SSE) |d resid|,
@@ -209,7 +210,7 @@ def test_profile_underflow_returns_endpoint(v, taus):
     sweep = synthetic_sweep(0.25, taus=taus)
     # one batch with a regular v: the vanished cubic must not spoil the batch
     got_a, got_sse, got_edge = _profile([v, 0.5], sweep)
-    want = exact_A_reference(BASE.with_values(v=v), sweep.taus, sweep.probs, 2.0)
+    want = exact_A_reference(replace(BASE, v=v), sweep.taus, sweep.probs, 2.0)
     assert got_edge[0] and math.isfinite(got_a[0]) and math.isfinite(got_sse[0])
     assert (got_a[0], got_sse[0], got_edge[0]) == want
     assert got_a[1] == pytest.approx(0.25, abs=1e-9)
@@ -272,7 +273,7 @@ def test_fit_a_v_matches_golden_property(a, log_v_true):
     # noiseless data that stay physical: the profile's minimum is an exact
     # fit, which golden section resolves as well as the slope root does
     taus = np.linspace(2.0, 120.0, 120)
-    p = BASE.with_values(A=a, v=math.exp(log_v_true))
+    p = replace(BASE, A=a, v=math.exp(log_v_true))
     assume(predict_split(p, taus).max() < 1.0)
     _assert_matches_golden(synthetic_sweep(a, v=p.v, taus=taus))
 

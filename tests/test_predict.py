@@ -1,5 +1,6 @@
 import math
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,14 +11,12 @@ from scipy.interpolate import CubicSpline
 from annealosc import (LargeGapParams, ModelSpec, SplitParams, build_model,
                        gap_trace, predict_grover, predict_large_gap,
                        predict_split)
-from annealosc.predict import (amplitude_integral, grover_gamma, grover_gap,
-                               grover_omega,
-                               landau_zener_amplitude,
-                               split_params_from_crossing)
+from annealosc.predict import (amplitude_integral, grover_omega, grover_rho,
+                               landau_zener_amplitude, split_params_from_crossing)
 from annealosc.spectrum import CrossingParams
 
 import reference
-from oracles import evolve_two_level
+from oracles import evolve_two_level, grover_gamma, grover_gap
 from test_spectrum import OMEGA_NB_MU1
 
 GROVER_OMEGA_64_1 = 0.2394257806110935  # frozen from the closed form
@@ -149,7 +148,7 @@ def test_split_approaches_large_gap_at_large_tau():
 
 
 def test_split_requires_a():
-    p = _split().with_values(A=None)
+    p = replace(_split(), A=None)
     with pytest.raises(ValueError):
         predict_split(p, 30.0)
 
@@ -171,16 +170,19 @@ def test_split_params_from_crossing_roundtrip():
 
 def test_split_validation():
     with pytest.raises(ValueError):
-        _split().with_values(g=-0.1)
+        replace(_split(), g=-0.1)
     with pytest.raises(ValueError):
-        _split().with_values(omega_minus=0.0)
+        replace(_split(), omega_minus=0.0)
     for m in (0, -1, 2.5, True):
         with pytest.raises(ValueError):
             _split(m=m)
+    # v is required: predict_split would compare it with 0
+    with pytest.raises(ValueError, match="v must be positive"):
+        _split(v=None)
     for name in ("g", "omega_minus", "omega_plus", "rho0", "rho1"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=name):
-                _split().with_values(**{name: value})
+                replace(_split(), **{name: value})
 
 
 @pytest.fixture
@@ -289,7 +291,10 @@ def test_grover_gamma_matches_matrix_element(grover64):
 
 def test_predict_grover_structure():
     om = grover_omega(64, 1)
-    rho = grover_gamma(64, 1, 0.0)
+    rho = grover_rho(64, 1)
+    # the closed form is the endpoint of the s-dependent coupling, Delta(0) = 1
+    assert rho == reference.search_rho(64, 1)
+    assert rho == pytest.approx(grover_gamma(64, 1, 0.0), abs=1e-12)
     for k in (1, 3, 7):
         assert predict_grover(64, 1, 2 * math.pi * k / om) == pytest.approx(
             0.0, abs=1e-25)

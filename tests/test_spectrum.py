@@ -56,6 +56,17 @@ def test_nobarrier84_trace_is_the_single_qubit_trace(mu):
     assert np.abs(rhos - reference.nobarrier1_rhos(mu)).max() <= 1e-10
 
 
+def test_barrier12_endpoint_rhos_match_reference():
+    # the bump overlaps the s = 0 ground state at small n: rho/sqrt(n) is
+    # (0.2691, 0.2010), not the decoupled chain's (mu/2, 1/(2 mu^2))
+    spec = ModelSpec(kind="barrier", n=12, mu=1.0, alpha=0.3, beta=0.5)
+    got = np.array(rho_endpoints(gap_trace(build_model(spec)))) / math.sqrt(12)
+    want = np.array(reference.rho_endpoints(dense_reference(spec))) / math.sqrt(12)
+    want *= np.sign(want[0])  # the reference keeps numpy's overall sign at s = 0
+    assert np.abs(got - want).max() <= 1e-12
+    assert got == pytest.approx([0.2691, 0.2010], abs=1e-4)
+
+
 def test_gamma_delta_product_is_half_mu(nobarrier1_trace):
     # gamma(s) = mu / (2 Delta(s)) in the decoupled problem
     tr = nobarrier1_trace
