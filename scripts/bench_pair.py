@@ -29,10 +29,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(checkout: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
+    """One run's report; a run that fails ends the script with its side, seed,
+    exit code and the last lines of its stderr."""
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                         cwd=checkout, capture_output=True, text=True, check=True)
+                         cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        tail = "\n".join(out.stderr.strip().splitlines()[-20:])
+        raise SystemExit(f"{side} run with seed {seed} exited {out.returncode}:\n{tail}")
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -94,7 +99,8 @@ def main() -> int:
         trees = {"base": Path(tmp), "change": ROOT}
         for i in range(args.pairs):
             for side in ("base", "change")[::1 if i % 2 == 0 else -1]:
-                sides[side].append(run(trees[side], args.workload, args.seed + i, seconds))
+                sides[side].append(run(trees[side], side, args.workload, args.seed + i,
+                                       seconds))
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{s} wall_s {sides[s][-1]['metrics']['wall_s']['value']:.4f}" for s in sides),
                 file=sys.stderr, flush=True)

@@ -1,6 +1,6 @@
 """Near-adiabatic annealing simulations and leakage-oscillation analysis."""
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .models import ModelSpec, ReducedHamiltonian, build_model, hamiltonian_at
 from .spectrum import (CrossingParams, GapTrace, gap_trace, locate_crossing,

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .evolve import ConvergenceError, EvolutionConfig, SweepResult, tau_sweep
 from .fit import _check_sweep, fit_A, fit_A_v
-from .models import ModelSpec, _check_int, _check_not_bool, build_model
+from .models import ModelSpec, _check_int, _check_real, build_model
 from .predict import (LargeGapParams, grover_omega, grover_rho, predict_grover,
                       predict_large_gap, predict_split, split_params_from_crossing)
 from .spectrum import (DegenerateGroundStateError, gap_trace, locate_crossing,
@@ -37,13 +37,9 @@ class TauGrid:
     count: int
 
     def __post_init__(self):
-        for name in ("min", "max"):
-            _check_not_bool(f"tau {name}", getattr(self, name))
+        _check_real("tau min", self.min, positive=True)
+        _check_real("tau max", self.max)
         _check_int("tau count", self.count)
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise ValueError("tau min and max must be finite")
-        if self.min <= 0:
-            raise ValueError("tau min must be positive")
         if self.count < 1:
             raise ValueError("tau count must be at least 1")
         if self.count > 1 and self.max <= self.min:
@@ -70,13 +66,13 @@ class ExperimentConfig:
             raise ValueError(f"{self.mode} mode requires a model")
         if self.tau_grid is None and self.mode != "gap":
             raise ValueError(f"{self.mode} mode requires a tau_grid")
-        for name in ("A", "v"):
-            _check_not_bool(f"prediction.{name}", self.prediction.get(name))
         # the fields the run reads: predict's A and v, only at an avoided crossing (run_predict)
         read = {"A", "v"} if self.mode == "predict" and self.model.kind != "grover" else set()
         if unread := set(self.prediction) - read:
             raise ValueError(f"{self.mode} mode on a {self.model.kind} model reads no "
                              f"prediction fields {sorted(unread)}")
+        for name, value in self.prediction.items():  # A may be negative; v may not
+            _check_real(f"prediction.{name}", value, positive=name == "v")
         if not isinstance(self.fit_vary_v, bool):
             raise ValueError(f"fit_vary_v must be true or false, got {self.fit_vary_v!r}")
 

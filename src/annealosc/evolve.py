@@ -42,7 +42,7 @@ import numpy as np
 # unused, importable for perfbench/tracing.py's wrappers until ROADMAP item 5
 from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 from .models import ReducedHamiltonian, hamiltonian_at, tridiagonal_bands  # noqa: F401
-from .models import _check_int, _check_not_bool
+from .models import _check_int, _check_real
 from .spectrum import _check_gap, _eigs, _two_lowest
 
 
@@ -66,9 +66,7 @@ class EvolutionConfig:
     max_steps: int = 1 << 22
 
     def __post_init__(self):
-        _check_not_bool("step_tolerance", self.step_tolerance)
-        if not 0 < self.step_tolerance < math.inf:
-            raise ValueError("step_tolerance must be positive and finite")
+        _check_real("step_tolerance", self.step_tolerance, positive=True)
         _check_int("max_steps", self.max_steps)
         if self.max_steps < 2 * _INITIAL_STEPS:
             raise ValueError(

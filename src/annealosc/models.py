@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-MODEL_KINDS = ("barrier", "cubic", "nobarrier", "grover")
+# the fields each model kind reads besides kind; from_dict rejects the others
+_KIND_FIELDS = {"barrier": ("n", "mu", "alpha", "beta"), "cubic": ("n",),
+                "nobarrier": ("n", "mu"), "grover": ("big_n", "big_m")}
+MODEL_KINDS = tuple(_KIND_FIELDS)
 
 
 def _check_int(name: str, value) -> None:
@@ -26,10 +30,15 @@ def _check_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_not_bool(name: str, value) -> None:
-    """Raise ValueError for a bool (a JSON true), which arithmetic reads as 1."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+def _check_real(name: str, value, positive: bool = False) -> None:
+    """Raise ValueError unless value is a real number within the float range,
+    so finite, and above 0 if positive.  A bool (a JSON true, which arithmetic
+    reads as 1), a str or None is no number; NaN and an int too large for a
+    float fall outside the range."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max or (positive and not value > 0)):
+        rule = "positive and finite" if positive else "a finite number"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,7 @@ class ModelSpec:
     alpha, beta: barrier width / height exponents (width ~ n**alpha,
         peak height = n**beta).
     big_n, big_m: search-space size and target count (grover).
+    `from_dict` takes only the fields the kind reads (_KIND_FIELDS).
     """
 
     kind: str
@@ -58,8 +68,10 @@ class ModelSpec:
         for name in ("n", "big_n", "big_m"):
             if getattr(self, name) is not None:
                 _check_int(name, getattr(self, name))
-        for name in ("mu", "alpha", "beta"):
-            _check_not_bool(name, getattr(self, name))
+        _check_real("mu", self.mu, positive=True)
+        for name in ("alpha", "beta"):  # set for a barrier, optional for the rest
+            if self.kind == "barrier" or getattr(self, name) is not None:
+                _check_real(name, getattr(self, name))
         if self.kind == "grover":
             if self.big_n is None or self.big_m is None:
                 raise ValueError("grover model requires big_n and big_m")
@@ -68,14 +80,7 @@ class ModelSpec:
         else:
             if self.n is None or self.n < 1:
                 raise ValueError("qubit models require n >= 1")
-            if self.kind in ("barrier", "nobarrier") and not 0 < self.mu < math.inf:
-                raise ValueError("mu must be positive and finite")
             if self.kind == "barrier":
-                if self.alpha is None or self.beta is None:
-                    raise ValueError("barrier model requires alpha and beta")
-                for name in ("alpha", "beta"):
-                    if not math.isfinite(getattr(self, name)):
-                        raise ValueError(f"{name} must be finite")
                 try:
                     math.pow(self.n, self.beta)
                 except OverflowError:
@@ -87,6 +92,9 @@ class ModelSpec:
         extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown ModelSpec fields: {sorted(extra)}")
+        kind = d.get("kind")
+        if kind in MODEL_KINDS and (unread := set(d) - {"kind", *_KIND_FIELDS[kind]}):
+            raise ValueError(f"a {kind} model reads no fields {sorted(unread)}")
         return cls(**d)
 
 

@@ -13,17 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _check_int, _check_not_bool
+from .models import _check_int, _check_real
 from .spectrum import CrossingParams, GapTrace
 
 
-def _check_params(p, *floats: str) -> None:
-    """Raise ValueError unless the named fields of p are finite and p.m is
-    an integer >= 1 (NaN passes every comparison, and a float m would scale
+def _check_params(p, *positive: str) -> None:
+    """Raise ValueError unless p.rho0 and p.rho1 are finite, the named fields
+    of p positive and finite, and p.m an integer >= 1 (a float m would scale
     every prediction)."""
-    for name in floats:
-        if not math.isfinite(getattr(p, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(p, name)}")
+    for name in ("rho0", "rho1", *positive):
+        _check_real(name, getattr(p, name), positive=name in positive)
     _check_int("m", p.m)
     if p.m < 1:
         raise ValueError("m must be a positive integer")
@@ -37,9 +36,7 @@ class LargeGapParams:
     m: int = 1
 
     def __post_init__(self):
-        _check_params(self, "rho0", "rho1", "omega")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        _check_params(self, "omega")
 
 
 @dataclass(frozen=True)
@@ -57,17 +54,9 @@ class SplitParams:
     m: int = 1
 
     def __post_init__(self):
-        _check_params(self, "rho0", "rho1", "omega_minus", "omega_plus", "g")
-        if self.omega_minus <= 0 or self.omega_plus <= 0:
-            raise ValueError("omega_minus and omega_plus must be positive")
-        if self.g <= 0:
-            raise ValueError("g must be positive")
-        for name in ("A", "v"):
-            _check_not_bool(name, getattr(self, name))
-        if self.v is None or not 0 < self.v < math.inf:
-            raise ValueError(f"v must be positive and finite, got {self.v}")
-        if self.A is not None and not math.isfinite(self.A):
-            raise ValueError(f"A must be finite, got {self.A}")
+        _check_params(self, "omega_minus", "omega_plus", "g", "v")
+        if self.A is not None:
+            _check_real("A", self.A)
 
 
 def _taus(tau) -> np.ndarray:
@@ -88,8 +77,9 @@ def predict_large_gap(p: LargeGapParams, tau):
 
 def landau_zener_amplitude(A: float, g: float, v: float, tau):
     """Lambda(tau) = A exp(-pi g^2 tau / (4 v))."""
-    if not (math.isfinite(A) and 0 < g < math.inf and 0 < v < math.inf):
-        raise ValueError(f"need a finite A and positive finite g, v; got {A}, {g}, {v}")
+    _check_real("A", A)
+    _check_real("g", g, positive=True)
+    _check_real("v", v, positive=True)
     tau = _taus(tau)
     out = A * _lz_decay(g, v, tau)
     return float(out) if out.ndim == 0 else out
@@ -168,8 +158,7 @@ def amplitude_integral(trace: GapTrace, tau: float) -> complex:
     on cubic30 at tau = 50, 200 and 800 its error against a 4,001-point trace
     is 6.9e-4 to 9.0e-4, with |C1| from 1.4 down to 0.72.
     """
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be positive and finite")
+    _check_real("tau", tau, positive=True)
     # imported on first use, so that importing the package skips scipy.interpolate
     from scipy.interpolate import CubicSpline
     coup = CubicSpline(trace.s, trace.gamma / trace.delta)

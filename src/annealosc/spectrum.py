@@ -57,6 +57,11 @@ def _check_gap(s, lambda0, lambda1) -> None:
 #   d                    9    17    25    29    31    33
 #   batched eigh        5.7  19.6  45.5  45.5  53.7  77.7
 #   _STEVD per matrix   7.0  20.5  46.6  45.3  52.1  59.4
+# The case that keeps the batched route is d = 2 (nobarrier n = 1, grover):
+# dstevd for every full spectrum, bitwise equal, takes 8-tau and 1-tau
+# nobarrier sweeps from 7.7 to 10.1 and 6.4 to 9.1 ms, a 7-tau grover64 sweep
+# from 31.7 to 42.9 ms and fig3-/fig10-size sweeps +10 % and +4 %; d = 13-31
+# moves within 3 % (medians of 5-7 runs).
 _DENSE_EIGH_MAX_DIM = 32
 
 # The lowest pairs of every model at any dimension come from LAPACK's

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import annealosc
-from annealosc import cli, evolve, spectrum
+from annealosc import ModelSpec, cli, evolve, spectrum
 from annealosc.cli import (FIGURES, MODES, ExperimentConfig, TauGrid, _figure_configs,
                            _recipe, config_hash, main)
 from annealosc.predict import predict_grover
@@ -38,10 +38,10 @@ def test_tau_grid_values_and_validation():
         TauGrid(min=10.0, max=5.0, count=5)
     with pytest.raises(TypeError):  # the grid is linear: spacing is not a field
         TauGrid(min=1.0, max=2.0, count=5, spacing="cubic")
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
+    for bad in (math.nan, math.inf, "20", None):
+        with pytest.raises(ValueError, match="^tau min must be positive and finite"):
             TauGrid(min=bad, max=10.0, count=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tau max must be a finite number"):
             TauGrid(min=1.0, max=bad, count=5)
 
 
@@ -56,13 +56,17 @@ def test_non_finite_config_values_exit_1(tmp_path, field):
 
 
 @pytest.mark.parametrize("name, value", [("mu", math.nan), ("mu", math.inf),
-                                         ("alpha", math.nan), ("beta", math.inf)])
+                                         ("alpha", math.nan), ("beta", math.inf),
+                                         ("mu", "1"), ("beta", None)])
 def test_non_finite_model_values_exit_1(tmp_path, capsys, name, value):
     model = {"kind": "barrier", "n": 16, "mu": 1.0, "alpha": 0.3, "beta": 0.5,
              name: value}
     cfg = _write_config(tmp_path, {"mode": "gap", "model": model})
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert f"error: {name} must be" in capsys.readouterr().err
+    # the library raises the same error
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        ModelSpec(**model)
 
 
 def test_non_integer_model_size_exit_1(tmp_path, capsys):
@@ -93,6 +97,20 @@ _BARRIER16 = {"kind": "barrier", "n": 16, "mu": 1.0, "alpha": 0.3, "beta": 0.5}
     ("prediction.v", {"mode": "predict", "model": _BARRIER16,
                       "prediction": {"A": 0.5, "v": True},
                       "tau_grid": {"min": 20.0, "max": 60.0, "count": 5}}),
+    # a string or null is no number either
+    ("mu", {"mode": "gap", "model": {**NOBARRIER, "mu": "1"}}),
+    # a JSON integer beyond the float range, which would overflow in the model
+    ("mu", {"mode": "gap", "model": {**NOBARRIER, "mu": 10**400}}),
+    ("alpha", {"mode": "gap", "model": {**_BARRIER16, "alpha": "0.3"}}),
+    ("tau min", {**_SWEEP, "tau_grid": {"min": "20", "max": 40.0, "count": 3}}),
+    ("step_tolerance", {**_SWEEP, "evolution": {"step_tolerance": "1e-5"}}),
+    ("prediction.A", {"mode": "predict", "model": _BARRIER16, "prediction": {"A": "0.5"},
+                      "tau_grid": {"min": 20.0, "max": 60.0, "count": 5}}),
+    ("prediction.A", {"mode": "predict", "model": _BARRIER16, "prediction": {"A": None},
+                      "tau_grid": {"min": 20.0, "max": 60.0, "count": 5}}),
+    ("prediction.v", {"mode": "predict", "model": _BARRIER16,
+                      "prediction": {"A": 0.5, "v": "1"},
+                      "tau_grid": {"min": 20.0, "max": 60.0, "count": 5}}),
     # every block, and the config itself, is a JSON object
     ("prediction", {**_SWEEP, "mode": "predict", "prediction": ["A"]}),
     ("prediction", {**_SWEEP, "mode": "predict", "prediction": "Am"}),
@@ -102,6 +120,8 @@ _BARRIER16 = {"kind": "barrier", "n": 16, "mu": 1.0, "alpha": 0.3, "beta": 0.5}
     ("config", [1, 2]),
 ], ids=["count-true", "count-float", "fit_vary_v-string",
         "step_tolerance-true", "mu-true", "tau-min-true", "A-true", "v-true",
+        "mu-string", "mu-huge-int", "alpha-string", "tau-min-string", "step_tolerance-string",
+        "A-string", "A-null", "v-string",
         "prediction-list", "prediction-string", "model-string", "tau_grid-list",
         "evolution-number", "config-list"])
 def test_config_field_types_exit_1_before_output(tmp_path, capsys, field, payload):
@@ -296,8 +316,14 @@ def test_sweep_mode_requires_tau_grid(tmp_path):
     # the field that version 0.13.0 removed: gap_trace refines its own grid
     ("unknown config fields: ['s_points']", {"mode": "gap", "model": NOBARRIER,
                                              "s_points": 100.5}),
+    # a model takes only the fields its kind reads
+    ("a cubic model reads no fields ['alpha', 'mu']",
+     {"mode": "gap", "model": {"kind": "cubic", "n": 16, "mu": 3.0, "alpha": 0.3}}),
+    ("a grover model reads no fields ['mu', 'n']",
+     {"mode": "predict", "model": {"kind": "grover", "big_n": 64, "big_m": 1, "n": 5, "mu": 2},
+      "tau_grid": {"min": 20.0, "max": 40.0, "count": 3}}),
 ], ids=["sweep", "sweep-null", "predict", "fit", "grover-mode", "reproduce-figure-mode",
-        "figure-field", "s_points-field"])
+        "figure-field", "s_points-field", "cubic-unread-keys", "grover-unread-keys"])
 def test_mode_requirements_exit_1_before_output(tmp_path, capsys, message, payload):
     # the config is checked before any analysis or sweep runs
     cfg = _write_config(tmp_path, payload)

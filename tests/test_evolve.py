@@ -371,9 +371,9 @@ def test_bad_initial_steps_rejected(initial_steps):
         EvolutionConfig(initial_steps=initial_steps)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf, "1e-5", None])
 def test_bad_step_tolerance_rejected(tol):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^step_tolerance must be positive and finite"):
         EvolutionConfig(step_tolerance=tol)
 
 

@@ -52,8 +52,9 @@ def test_amplitude_integral_large_tau_asymptote(nobarrier1_trace):
 
 
 def test_amplitude_integral_rejects_bad_tau(nobarrier1_trace):
-    with pytest.raises(ValueError):
-        amplitude_integral(nobarrier1_trace, 0.0)
+    for tau in (0.0, "50", None):
+        with pytest.raises(ValueError, match="^tau must be positive and finite"):
+            amplitude_integral(nobarrier1_trace, tau)
 
 
 def test_amplitude_squared_consistent_with_large_gap(nobarrier1_trace):
@@ -118,9 +119,12 @@ def test_landau_zener_amplitude_limits():
     a1 = landau_zener_amplitude(1.0, g, v, tau)
     a2 = landau_zener_amplitude(1.0, g, 2 * v, tau)
     assert a2 == pytest.approx(math.sqrt(a1), rel=1e-12)
-    for args in [(1.0, -0.1, 1.0), (math.nan, 0.3, 1.0), (math.inf, 0.3, 1.0),
-                 (1.0, math.nan, 1.0), (1.0, 0.3, math.nan), (1.0, 0.3, math.inf)]:
-        with pytest.raises(ValueError):
+    for name, args in [("g", (1.0, -0.1, 1.0)), ("A", (math.nan, 0.3, 1.0)),
+                       ("A", (math.inf, 0.3, 1.0)), ("g", (1.0, math.nan, 1.0)),
+                       ("v", (1.0, 0.3, math.nan)), ("v", (1.0, 0.3, math.inf)),
+                       ("A", ("1", 0.3, 1.0)), ("g", (1.0, "0.3", 1.0)),
+                       ("v", (1.0, 0.3, True))]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             landau_zener_amplitude(*args, 10.0)
 
 
@@ -179,10 +183,16 @@ def test_split_validation():
     # v is required: predict_split would compare it with 0
     with pytest.raises(ValueError, match="v must be positive"):
         _split(v=None)
-    for name in ("g", "omega_minus", "omega_plus", "rho0", "rho1"):
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=name):
+    for name in ("g", "omega_minus", "omega_plus", "rho0", "rho1", "A"):
+        for value in (math.nan, math.inf, "0.1", True):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
                 replace(_split(), **{name: value})
+    for name in ("omega", "rho0", "rho1"):
+        for value in (math.nan, "1", None):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                LargeGapParams(**{"rho0": 0.5, "rho1": 0.5, "omega": 1.0, name: value})
+    with pytest.raises(ValueError, match="^omega must be positive"):
+        LargeGapParams(rho0=0.5, rho1=0.5, omega=0.0)
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -40,6 +42,19 @@ def test_bench_pair_wins():
     wins = _bench_pair()["wins"]
     assert wins([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "lower") == 1
     assert wins([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "higher") == 1
+
+
+def test_bench_pair_reports_a_failed_run(tmp_path):
+    # a run that exits non-zero ends the script with its side, seed, exit
+    # code and stderr, not a CalledProcessError without them
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nprint('marker-7f3a', file=sys.stderr)\nsys.exit(3)\n")
+    with pytest.raises(SystemExit) as exc:
+        _bench_pair()["run"](tmp_path, "base", "cli-tridiag", 5, 1.0)
+    message = str(exc.value.code)
+    assert "marker-7f3a" in message
+    assert message.startswith("base run with seed 5 exited 3")
 
 
 def test_update_golden_writes_only_new_or_moved_files(tmp_path):
